@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constants import ConstantsTable, SchemeId, constant, table
-from .forms import BudgetExceededError, dump_form
+from .forms import dump_form
 from .verify import (
     VerificationReport,
     check_multiple_summing,
@@ -34,7 +36,35 @@ _SCHEME_TOKENS = {
     "dsp-complex": SchemeId.DSP_COMPLEX,
 }
 
-_SUITES = ("khinchine", "kcc", "blei", "tensor", "bh", "summing", "all")
+# Suite -> (runner taking the parsed flags and a trial count, default count).
+_SUITES = {
+    "khinchine": (lambda a, count: run_khinchine_suite(count=count, seed=a.seed), 100),
+    "kcc": (lambda a, count: run_kcc_suite(count=count, seed=a.seed), 100),
+    "blei": (lambda a, count: run_blei_suite(count=count, seed=a.seed), 1000),
+    "tensor": (lambda a, count: run_tensor_suite(count=count, seed=a.seed), 200),
+    "bh": (
+        lambda a, count: run_bh_trials(a.m, a.n, count, a.seed, failure_dir=a.dump_dir),
+        1000,
+    ),
+    "summing": (
+        lambda a, count: check_multiple_summing(
+            a.m, a.n, a.j, count, a.seed, failure_dir=a.dump_dir
+        ),
+        1000,
+    ),
+}
+
+# The full battery: each run's flags over the parsed ones; a run without a
+# count uses its suite's default.
+_BATTERY = (
+    {"suite": "khinchine"}, {"suite": "kcc"}, {"suite": "blei"}, {"suite": "tensor"},
+    {"suite": "bh", "m": 2, "n": 2, "count": 10000},
+    {"suite": "bh", "m": 3, "n": 3, "count": 1000},
+    {"suite": "bh", "m": 4, "n": 2, "count": 100},
+    {"suite": "summing", "m": 2, "n": 2, "j": 3, "count": 1000},
+)
+
+_REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
 def _parse_schemes(spec: str) -> tuple[SchemeId, ...]:
@@ -49,10 +79,6 @@ def _parse_schemes(spec: str) -> tuple[SchemeId, ...]:
     return tuple(schemes)
 
 
-def _scheme_token(scheme: SchemeId) -> str:
-    return scheme.value
-
-
 def _fmt(value: float, precision: int) -> str:
     # format() rounds half to even, so text output is platform-stable.
     return format(value, f".{precision}f")
@@ -65,7 +91,7 @@ def _exact_pair(exact: Optional[Fraction]) -> Optional[list[int]]:
 
 
 def _render_table_text(tab: ConstantsTable) -> str:
-    headers = ["m"] + [_scheme_token(s) for s in tab.schemes]
+    headers = ["m"] + [s.value for s in tab.schemes]
     body = [
         [str(m)] + [_fmt(c.value, tab.precision) for c in row] for m, row in tab.rows
     ]
@@ -77,7 +103,7 @@ def _render_table_text(tab: ConstantsTable) -> str:
 
 
 def _render_table_csv(tab: ConstantsTable) -> str:
-    lines = [",".join(["m"] + [_scheme_token(s) for s in tab.schemes])]
+    lines = [",".join(["m"] + [s.value for s in tab.schemes])]
     for m, row in tab.rows:
         lines.append(",".join([str(m)] + [_fmt(c.value, tab.precision) for c in row]))
     return "\n".join(lines)
@@ -88,20 +114,21 @@ def _render_table_json(tab: ConstantsTable) -> str:
     for m, row in tab.rows:
         values = {}
         for scheme, cons in zip(tab.schemes, row):
-            entry = {
-                "value": float(_fmt(cons.value, tab.precision)),
-                "exact_log2": _exact_pair(cons.exact_exponent),
-            }
+            if math.isfinite(cons.value):
+                entry = {"value": float(_fmt(cons.value, tab.precision))}
+            else:
+                entry = {"value": None, "log2": cons.log2_value}
+            entry["exact_log2"] = _exact_pair(cons.exact_exponent)
             if cons.prefactor is not None:
                 entry["prefactor"] = float(_fmt(cons.prefactor, tab.precision))
-            values[_scheme_token(scheme)] = entry
+            values[scheme.value] = entry
         rows.append({"m": m, "values": values})
     doc = {
-        "schemes": [_scheme_token(s) for s in tab.schemes],
+        "schemes": [s.value for s in tab.schemes],
         "precision": tab.precision,
         "rows": rows,
     }
-    return json.dumps(doc)
+    return json.dumps(doc, allow_nan=False)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -116,66 +143,31 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_text(report: VerificationReport) -> str:
-    return (
-        f"suite={report.suite} trials={report.trials} failures={report.failures} "
-        f"worst_margin={report.worst_margin!r} max_ratio={report.max_ratio!r} "
-        f"seed={report.seed} uncertified={str(report.uncertified).lower()}"
-    )
-
-
-def _report_csv_row(report: VerificationReport) -> str:
-    return (
-        f"{report.suite},{report.trials},{report.failures},{report.worst_margin!r},"
-        f"{report.max_ratio!r},{report.seed},{str(report.uncertified).lower()}"
-    )
-
-
 def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
-    if fmt == "json":
-        for report in reports:
+    if fmt == "csv":
+        print(",".join(_REPORT_FIELDS))
+    for report in reports:
+        if fmt == "json":
             print(report.to_json())
-    elif fmt == "csv":
-        print("suite,trials,failures,worst_margin,max_ratio,seed,uncertified")
-        for report in reports:
-            print(_report_csv_row(report))
-    else:
-        for report in reports:
-            print(_report_text(report))
+            continue
+        # str() of a float is its shortest round-trip repr.
+        values = [getattr(report, name) for name in _REPORT_FIELDS]
+        cells = [str(v).lower() if isinstance(v, bool) else str(v) for v in values]
+        if fmt == "csv":
+            print(",".join(cells))
+        else:
+            print(" ".join(f"{name}={cell}" for name, cell in zip(_REPORT_FIELDS, cells)))
 
 
 def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
-    seed = args.seed
-    dump = args.dump_dir
-    if args.suite == "khinchine":
-        return [run_khinchine_suite(count=args.count or 100, seed=seed)]
-    if args.suite == "kcc":
-        return [run_kcc_suite(count=args.count or 100, seed=seed)]
-    if args.suite == "blei":
-        return [run_blei_suite(count=args.count or 1000, seed=seed)]
-    if args.suite == "tensor":
-        return [run_tensor_suite(count=args.count or 200, seed=seed)]
-    if args.suite == "bh":
-        return [
-            run_bh_trials(args.m, args.n, args.count or 1000, seed, failure_dir=dump)
-        ]
-    if args.suite == "summing":
-        return [
-            check_multiple_summing(
-                args.m, args.n, args.j, args.count or 1000, seed, failure_dir=dump
-            )
-        ]
-    # The full battery at its default sizes.
-    return [
-        run_khinchine_suite(count=100, seed=seed),
-        run_kcc_suite(count=100, seed=seed),
-        run_blei_suite(count=1000, seed=seed),
-        run_tensor_suite(count=200, seed=seed),
-        run_bh_trials(2, 2, 10000, seed, failure_dir=dump),
-        run_bh_trials(3, 3, 1000, seed, failure_dir=dump),
-        run_bh_trials(4, 2, 100, seed, failure_dir=dump),
-        check_multiple_summing(2, 2, 3, 1000, seed, failure_dir=dump),
-    ]
+    runs = [args]
+    if args.suite == "all":
+        runs = [argparse.Namespace(**{**vars(args), "count": None, **flags}) for flags in _BATTERY]
+    reports = []
+    for run in runs:
+        runner, default_count = _SUITES[run.suite]
+        reports.append(runner(run, default_count if run.count is None else run.count))
+    return reports
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -214,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("--suite", choices=_SUITES, default="all")
+    p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p_verify.add_argument("--m", type=int, default=2)
     p_verify.add_argument("--n", type=int, default=2)
     p_verify.add_argument("--j", type=int, default=3, help="family size for the summing suite")
@@ -245,10 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # BudgetExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,7 +103,7 @@ class ConstantsTable:
 # For COR52_COMPLEX the float includes the K_G^(2/m) contribution while the
 # exact part tracks only the dyadic exponent.
 _cache: dict[tuple[SchemeId, int], tuple[Optional[Fraction], float]] = {}
-# Highest m filled per recurrence chain: (scheme, parity of m).
+# Highest m filled per recurrence chain: (scheme, m mod the chain's stride).
 _frontier: dict[tuple[SchemeId, int], int] = {}
 _cache_lock = threading.Lock()
 
@@ -116,54 +116,46 @@ def _log2_A(p: Fraction) -> tuple[Optional[Fraction], float]:
     return None, math.log2(gamma_branch(float(p)))
 
 
-def _fill_cor52(scheme: SchemeId, m: int) -> None:
-    start = _frontier.get((scheme, 0))
+def _cor52_step(k: int) -> tuple[Fraction, Fraction, Fraction]:
+    return Fraction(2 * k - 2, k), Fraction(k - 1, 2 * k), 1 - Fraction(1, k)
+
+
+def _new_step(k: int) -> tuple[Fraction, Fraction, Fraction]:
+    return Fraction(2 * k - 4, k - 1), Fraction(1, 2), Fraction(k - 2, k)
+
+
+# scheme -> (stride in m, exact log2 bases by m, k -> (p, step, weight),
+# power of A on exact steps, log2 K_G of the K_G^(2/m) factor that only the
+# float carries).  Each step is
+#     log2 C_k = step + weight * (log2 C_{k-stride} - power * log2 A_p).
+_CHAINS = {
+    SchemeId.COR52_REAL: (1, {2: Fraction(1, 2)}, _cor52_step, 1, 0.0),
+    SchemeId.COR52_COMPLEX: (1, {2: Fraction(0)}, _cor52_step, 1, _LOG2_KG),
+    SchemeId.NEW_REAL: (2, {2: Fraction(1, 2), 3: Fraction(5, 6)}, _new_step, 2, 0.0),
+}
+
+
+def _fill(scheme: SchemeId, m: int) -> None:
+    stride, bases, step_at, a_power, log2_kg = _CHAINS[scheme]
+    chain = (scheme, m % stride)
+    start = _frontier.get(chain)
     if start is None:
-        start = 2
-        if scheme is SchemeId.COR52_REAL:
-            _cache[(scheme, 2)] = (Fraction(1, 2), 0.5)
-        else:
-            _cache[(scheme, 2)] = (Fraction(0), _LOG2_KG)
+        start = next(b for b in bases if b % stride == m % stride)
+        base = bases[start]
+        _cache[(scheme, start)] = (base, float(base) + 2.0 / start * log2_kg)
     exact, log2v = _cache[(scheme, start)]
-    for k in range(start + 1, m + 1):
-        p = Fraction(2 * k - 2, k)
+    for k in range(start + stride, m + 1, stride):
+        p, step, weight = step_at(k)
         exact_a, log2_a = _log2_A(p)
-        step = Fraction(k - 1, 2 * k)
-        weight = 1 - Fraction(1, k)
         if exact is not None and exact_a is not None:
-            exact = step + weight * (exact - exact_a)
-            log2v = float(exact)
-            if scheme is SchemeId.COR52_COMPLEX:
-                log2v += 2.0 / k * _LOG2_KG
+            exact = step + weight * (exact - a_power * exact_a)
+            log2v = float(exact) + 2.0 / k * log2_kg
         else:
-            # Gamma-branch steps divide by A^2; power-of-two steps by A.
+            # Gamma-branch steps divide by A^2 in every chain.
             exact = None
             log2v = float(step) + float(weight) * (log2v - 2.0 * log2_a)
         _cache[(scheme, k)] = (exact, log2v)
-    _frontier[(scheme, 0)] = max(start, m)
-
-
-def _fill_new(m: int) -> None:
-    scheme = SchemeId.NEW_REAL
-    parity = m % 2
-    start = _frontier.get((scheme, parity))
-    if start is None:
-        start = 2 + parity
-        base = Fraction(1, 2) if parity == 0 else Fraction(5, 6)
-        _cache[(scheme, start)] = (base, float(base))
-    exact, log2v = _cache[(scheme, start)]
-    for k in range(start + 2, m + 1, 2):
-        p = Fraction(2 * k - 4, k - 1)
-        exact_a, log2_a = _log2_A(p)
-        weight = Fraction(k - 2, k)
-        if exact is not None and exact_a is not None:
-            exact = Fraction(1, 2) + weight * (exact - 2 * exact_a)
-            log2v = float(exact)
-        else:
-            exact = None
-            log2v = 0.5 + float(weight) * (log2v - 2.0 * log2_a)
-        _cache[(scheme, k)] = (exact, log2v)
-    _frontier[(scheme, parity)] = max(start, m)
+    _frontier[chain] = max(start, m)
 
 
 def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
@@ -178,10 +170,7 @@ def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
     if key not in _cache:
         with _cache_lock:
             if key not in _cache:
-                if scheme is SchemeId.NEW_REAL:
-                    _fill_new(m)
-                else:
-                    _fill_cor52(scheme, m)
+                _fill(scheme, m)
     return _cache[key]
 
 

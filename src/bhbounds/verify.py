@@ -14,9 +14,9 @@ trials could be distributed without changing any result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -82,17 +82,7 @@ class VerificationReport:
     uncertified: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "trials": self.trials,
-                "failures": self.failures,
-                "worst_margin": self.worst_margin,
-                "max_ratio": self.max_ratio,
-                "seed": self.seed,
-                "uncertified": self.uncertified,
-            }
-        )
+        return json.dumps(asdict(self), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -239,6 +229,48 @@ def _dump_failure(
     dump_form(form, failure_dir / f"{suite}_failure_{index}.json", seed=seed)
 
 
+def _run(
+    suite: str,
+    count: int,
+    seed: int,
+    trial: Callable[[np.random.Generator, int], tuple],
+    failure_dir: Optional[Path] = None,
+    uncertified: bool = False,
+) -> VerificationReport:
+    """Run ``count`` trials, each on its own (seed, index) generator.
+
+    ``trial(rng, i)`` returns (margin, ratio, holds, form or None).  The
+    report keeps the minimum margin and the maximum ratio; each trial that
+    does not hold is counted and its form dumped to ``failure_dir``.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    failures = 0
+    worst_margin = np.inf
+    max_ratio = 0.0
+    for i in range(count):
+        margin, ratio, holds, form = trial(_trial_rng(seed, i), i)
+        worst_margin = min(worst_margin, margin)
+        max_ratio = max(max_ratio, ratio)
+        if not holds:
+            failures += 1
+            _dump_failure(failure_dir, suite, i, form, seed)
+    return VerificationReport(
+        suite=suite,
+        trials=count,
+        failures=failures,
+        worst_margin=float(worst_margin),
+        max_ratio=float(max_ratio),
+        seed=seed,
+        uncertified=uncertified,
+    )
+
+
+def _lhs_rhs(res: dict) -> tuple[float, float, bool, None]:
+    """Margin, ratio and outcome of a one-sided ``check_*`` result."""
+    return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"], None
+
+
 def run_bh_trials(
     m: int,
     N: int,
@@ -266,32 +298,18 @@ def run_bh_trials(
                 "certified trials need the exact norm"
             )
     bound = constant(scheme, m).value
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    for i in range(count):
-        rng = _trial_rng(seed, i)
+
+    def trial(rng, i):
         form = _draw_form(rng, m, N, sign_entries=i % 2 == 0)
         if norm_mode == "exact":
             norm = sup_norm_exact(form)
         else:
             norm = sup_norm_lower(form, restarts=8, seed=int(rng.integers(1 << 31)))
         ratio = bh_lhs(form) / norm
-        margin = bound - ratio
-        worst_margin = min(worst_margin, margin)
-        max_ratio = max(max_ratio, ratio)
-        if ratio > bound * (1.0 + REL_SLACK):
-            failures += 1
-            _dump_failure(failure_dir, "bh", i, form, seed)
-    return VerificationReport(
-        suite="bh",
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-        uncertified=norm_mode != "exact",
-    )
+        # Negated '>' so that a NaN ratio is not counted as a failure.
+        return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
+
+    return _run("bh", count, seed, trial, failure_dir, uncertified=norm_mode != "exact")
 
 
 def check_multiple_summing(
@@ -310,11 +328,8 @@ def check_multiple_summing(
     """
     p = float(bh_exponent(m))
     bound = constant(scheme, m).value
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    for i in range(count):
-        rng = _trial_rng(seed, i)
+
+    def trial(rng, i):
         form = _draw_form(rng, m, N, sign_entries=i % 2 == 0)
         families = []
         for _ in range(m):
@@ -322,20 +337,9 @@ def check_multiple_summing(
             families.append(mat / weak_l1_norm(mat))
         lhs = multiple_summing_lhs(form, families, p)
         ratio = lhs / sup_norm_exact(form)
-        margin = bound - ratio
-        worst_margin = min(worst_margin, margin)
-        max_ratio = max(max_ratio, ratio)
-        if ratio > bound * (1.0 + REL_SLACK):
-            failures += 1
-            _dump_failure(failure_dir, "summing", i, form, seed)
-    return VerificationReport(
-        suite="summing",
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-    )
+        return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
+
+    return _run("summing", count, seed, trial, failure_dir)
 
 
 def search_extremal(
@@ -383,29 +387,17 @@ def run_khinchine_suite(
     seed: int = 0,
 ) -> VerificationReport:
     """Randomized two-sided Khinchine checks with exact expectations."""
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    for i in range(count):
-        rng = _trial_rng(seed, i)
+
+    def trial(rng, i):
         n = int(rng.integers(1, max_n + 1))
         a = rng.standard_normal(n)
         p = exponents[i % len(exponents)]
         res = check_khinchine(a, p)
         margin = min(res["mid"] - res["lhs"], res["rhs"] - res["mid"])
         ratio = max(res["lhs"] / res["mid"], res["mid"] / res["rhs"])
-        worst_margin = min(worst_margin, margin)
-        max_ratio = max(max_ratio, ratio)
-        if not res["holds"]:
-            failures += 1
-    return VerificationReport(
-        suite="khinchine",
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-    )
+        return margin, ratio, res["holds"], None
+
+    return _run("khinchine", count, seed, trial)
 
 
 def run_kcc_suite(
@@ -421,67 +413,38 @@ def run_kcc_suite(
     seed: int = 0,
 ) -> VerificationReport:
     """Randomized moment-comparison checks for exponent pairs r <= p."""
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    for i in range(count):
-        rng = _trial_rng(seed, i)
+
+    def trial(rng, i):
         n = int(rng.integers(1, max_n + 1))
         a = rng.standard_normal(n)
         p, r = pairs[i % len(pairs)]
-        res = check_kcc(a, p, r)
-        worst_margin = min(worst_margin, res["rhs"] - res["lhs"])
-        max_ratio = max(max_ratio, res["lhs"] / res["rhs"])
-        if not res["holds"]:
-            failures += 1
-    return VerificationReport(
-        suite="kcc",
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-    )
+        return _lhs_rhs(check_kcc(a, p, r))
+
+    return _run("kcc", count, seed, trial)
 
 
 def run_blei_suite(
     count: int = 1000, max_rows: int = 8, max_cols: int = 8, seed: int = 0
 ) -> VerificationReport:
     """Random positive matrices and random valid exponent triples."""
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    for i in range(count):
-        rng = _trial_rng(seed, i)
+
+    def trial(rng, i):
         rows = int(rng.integers(1, max_rows + 1))
         cols = int(rng.integers(1, max_cols + 1))
         mat = rng.uniform(0.05, 2.0, size=(rows, cols))
         q = 1.0 + rng.uniform(0.2, 3.0)
         s1 = 1.0 + rng.uniform(0.0, 0.95) * (q - 1.0)
         s2 = 1.0 + rng.uniform(0.0, 0.95) * (q - 1.0)
-        res = check_blei(mat, q, s1, s2)
-        worst_margin = min(worst_margin, res["rhs"] - res["lhs"])
-        max_ratio = max(max_ratio, res["lhs"] / res["rhs"])
-        if not res["holds"]:
-            failures += 1
-    return VerificationReport(
-        suite="blei",
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-    )
+        return _lhs_rhs(check_blei(mat, q, s1, s2))
+
+    return _run("blei", count, seed, trial)
 
 
 def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
     """Random chaos-moment checks at small arity and dimension."""
     r_values = (1.0, 4.0 / 3.0, 1.5, 2.0)
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    for i in range(count):
-        rng = _trial_rng(seed, i)
+
+    def trial(rng, i):
         m = int(rng.integers(2, 4))
         n = int(rng.integers(2, 4))
         if i % 2 == 0:
@@ -489,16 +452,6 @@ def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
         else:
             tensor = rng.standard_normal((n,) * m)
         r = r_values[i % len(r_values)]
-        res = check_rademacher_tensor(tensor, r)
-        worst_margin = min(worst_margin, res["rhs"] - res["lhs"])
-        max_ratio = max(max_ratio, res["lhs"] / res["rhs"])
-        if not res["holds"]:
-            failures += 1
-    return VerificationReport(
-        suite="tensor",
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-    )
+        return _lhs_rhs(check_rademacher_tensor(tensor, r))
+
+    return _run("tensor", count, seed, trial)

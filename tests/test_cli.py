@@ -69,6 +69,20 @@ class TestTable:
         assert run_cli(capsys, "table", "--schemes", "nope")[0] == 2
         assert run_cli(capsys, "table", "--format", "yaml")[0] == 2
 
+    def test_overflow_is_strict_json(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+
+        code, out, _ = run_cli(
+            capsys, "table", "--m-min", "2048", "--m-max", "2049", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out, parse_constant=reject)
+        classic = {row["m"]: row["values"]["classic"] for row in doc["rows"]}
+        assert classic[2048]["value"] == pytest.approx(2.0**1023.5)
+        assert "log2" not in classic[2048]
+        assert classic[2049] == {"value": None, "log2": 1024.0, "exact_log2": [1024, 1]}
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--m-max", "14")
         _, second, _ = run_cli(capsys, "table", "--m-max", "14")
@@ -89,6 +103,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--suite", "bh", "--m", "5", "--n", "8")
         assert code == 2
         assert "budget" in err
+
+    def test_nonpositive_count_exit_2(self, capsys):
+        for count in ("0", "-3"):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", "khinchine", "--count", count, "--format", "json"
+            )
+            assert code == 2
+            assert out == ""
+            assert "count must be >= 1" in err
 
     def test_json_report_schema(self, capsys):
         code, out, _ = run_cli(

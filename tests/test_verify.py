@@ -209,6 +209,29 @@ class TestRunBhTrials:
         assert dumped.exists()
         assert np.array_equal(load_form(dumped).coeffs, form.coeffs)
 
+    def test_failures_dump_each_failing_tensor(self, tmp_path):
+        import json
+
+        from bhbounds.forms import load_form
+
+        # The complex bound 2/sqrt(pi) ~ 1.128 is below the real extremal
+        # ratio sqrt(2), so real sign tensors fail against it.
+        report = run_bh_trials(
+            2, 2, 200, seed=1, scheme=SchemeId.DSP_COMPLEX, failure_dir=tmp_path
+        )
+        assert report.failures > 0
+        dumps = sorted(tmp_path.glob("bh_failure_*.json"))
+        assert len(dumps) == report.failures
+        for path in dumps:
+            i = int(path.stem.rsplit("_", 1)[1])
+            rng = np.random.default_rng((1, i))
+            if i % 2 == 0:
+                expected = rng.integers(0, 2, size=(2, 2)) * 2.0 - 1.0
+            else:
+                expected = rng.standard_normal((2, 2))
+            assert np.array_equal(load_form(path).coeffs, expected)
+            assert json.loads(path.read_text())["seed"] == 1
+
 
 class TestSearchExtremal:
     def test_littlewood_extremal_found(self):
@@ -294,6 +317,10 @@ class TestSuiteRunners:
     def test_kcc_suite_green(self):
         report = run_kcc_suite(count=100, seed=0)
         assert report.failures == 0
+
+    def test_count_below_one_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            run_khinchine_suite(count=0)
 
     def test_report_field_order(self):
         report = run_khinchine_suite(count=5, seed=1)
