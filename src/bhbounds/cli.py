@@ -64,6 +64,9 @@ _BATTERY = (
     {"suite": "summing", "m": 2, "n": 2, "j": 3, "count": 1000},
 )
 
+# Single-suite sizes when not given; --suite all rejects them and --count.
+_SIZE_DEFAULTS = {"m": 2, "n": 2, "j": 3}
+
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 
@@ -77,6 +80,16 @@ def _parse_schemes(spec: str) -> tuple[SchemeId, ...]:
             )
         schemes.append(_SCHEME_TOKENS[token])
     return tuple(schemes)
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -160,9 +173,16 @@ def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
 
 
 def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
-    runs = [args]
     if args.suite == "all":
-        runs = [argparse.Namespace(**{**vars(args), "count": None, **flags}) for flags in _BATTERY]
+        given = [f"--{name}" for name in ("count", *_SIZE_DEFAULTS) if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"--suite all runs the battery at fixed sizes; drop {', '.join(given)}")
+        runs = [argparse.Namespace(**{**vars(args), **flags}) for flags in _BATTERY]
+    else:
+        for name, default in _SIZE_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+        runs = [args]
     reports = []
     for run in runs:
         runner, default_count = _SUITES[run.suite]
@@ -207,11 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    p_verify.add_argument("--m", type=int, default=2)
-    p_verify.add_argument("--n", type=int, default=2)
-    p_verify.add_argument("--j", type=int, default=3, help="family size for the summing suite")
+    p_verify.add_argument("--m", type=int, default=None, help="arity (default 2)")
+    p_verify.add_argument("--n", type=int, default=None, help="dimension (default 2)")
+    p_verify.add_argument("--j", type=int, default=None,
+                          help="family size for the summing suite (default 3)")
     p_verify.add_argument("--count", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.add_argument("--dump-dir", default=None, dest="dump_dir",
                           help="directory for failing-instance tensor dumps")
@@ -222,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n", type=int, default=2)
     p_search.add_argument("--restarts", type=int, default=8)
     p_search.add_argument("--iterations", type=int, default=200)
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--seed", type=_seed, default=0)
     p_search.add_argument("--out", default=None, help="path for the best tensor dump")
     p_search.set_defaults(func=cmd_search)
 

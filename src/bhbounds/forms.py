@@ -7,10 +7,12 @@ slot collapses its maximization to an l1 sum, so the exact norm is
 
     max over s in {-1,+1}^((m-1)N) of  sum_{im} | sum_{i1..i(m-1)} T[..] s.. |
 
-which costs 2^((m-1)N) contractions.  That exponent is capped by a bit
-budget (default 24, overridable through the BH_BUDGET_BITS environment
-variable); past the cap, ``sup_norm_lower`` gives a certified-from-below
-estimate by alternating sign ascent.
+Negating one slot's signs negates every value, which the outer abs
+undoes, so fixing s[0] = +1 in each slot leaves 2^((m-1)(N-1)) patterns
+to enumerate.  The bit budget still counts (m-1)*N bits (default 24,
+overridable through the BH_BUDGET_BITS environment variable); past it,
+``sup_norm_lower`` gives a certified-from-below estimate by alternating
+sign ascent.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -182,50 +183,68 @@ def evaluate(form: MultilinearForm, args: Sequence[Sequence[float]]) -> float:
     return float(v)
 
 
-_SIGN_CACHE_BITS = 12
-_BLOCK_BITS = 16
+# Elements in any one array the exact-norm kernel allocates (2^14 doubles,
+# 128 KB), unless a single tensor row is longer: small enough to stay in
+# cache.  Each level of its recursion (a slot, or one depth-first term)
+# holds at most one such array.
+_CAP = 1 << 14
+
+# n -> the 2^(n-1) sign rows of length n with s[0] = +1.  The kernel asks
+# only for n with n * 2^(n-1) <= _CAP, so this holds at most 14 matrices.
+_HALF_SIGNS: dict = {}
 
 
-@lru_cache(maxsize=None)
-def _sign_matrix(n: int) -> np.ndarray:
-    codes = np.arange(1 << n, dtype=np.int64)
-    mat = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-    mat.flags.writeable = False
-    return mat
+def _half_signs(n: int) -> np.ndarray:
+    signs = _HALF_SIGNS.get(n)
+    if signs is None:
+        codes = np.arange(1, 1 << n, 2, dtype=np.int64)  # odd: bit 0 sets s[0] = +1
+        signs = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        signs.flags.writeable = False
+        _HALF_SIGNS[n] = signs
+    return signs
 
 
-def _sign_blocks(n: int) -> Iterator[np.ndarray]:
-    """All 2^n sign vectors of length n, yielded as row blocks."""
-    if n <= _SIGN_CACHE_BITS:
-        yield _sign_matrix(n)
-        return
-    total = 1 << n
-    step = 1 << _BLOCK_BITS
-    cols = np.arange(n)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.int64)
-        yield ((codes[:, None] >> cols) & 1) * 2.0 - 1.0
+def _sup_over_signs(batch: np.ndarray, slots: int) -> float:
+    """Max over sign vectors in ``slots`` slots of the l1 sum that remains.
 
-
-def _sup_over_signs(tensor: np.ndarray, n: int) -> float:
-    if tensor.ndim == 2:
-        best = 0.0
-        for block in _sign_blocks(n):
-            best = max(best, float(np.abs(block @ tensor).sum(axis=1).max()))
-        return best
+    ``batch`` has shape (B, n, rest); axis 1 of each item is the slot to
+    enumerate next.  Only vectors with s[0] = +1 are visited: flipping a
+    whole slot negates every value exactly and the final abs undoes it.
+    Each signed sum runs in index order: its first ``head`` terms in one
+    matrix product, each later term added in turn, depth first over its
+    sign.
+    """
+    count, n, rest = batch.shape
+    head = min(n, max(1, (_CAP // rest).bit_length()))
+    items = max(1, _CAP // (rest << (head - 1)))
+    signs = _half_signs(head)
     best = 0.0
-    flat = tensor.reshape(n, -1)
-    tail_shape = tensor.shape[1:]
-    for block in _sign_blocks(n):
-        contracted = block @ flat
-        for row in contracted:
-            best = max(best, _sup_over_signs(row.reshape(tail_shape), n))
+    for first in range(0, count, items):
+        x = batch[first:first + items]
+        partial = np.matmul(signs, x[:, :head] if head < n else x)
+        best = max(best, _add_rows(partial, x, head, slots))
     return best
+
+
+def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int) -> float:
+    """Add +-x[:, j], ..., +-x[:, n-1] to ``partial`` (overwritten), then reduce."""
+    n, rest = x.shape[1:]
+    if j < n:
+        row = x[:, j:j + 1]
+        best = _add_rows(partial + row, x, j + 1, slots)
+        partial -= row
+        return max(best, _add_rows(partial, x, j + 1, slots))
+    if slots > 1:
+        return _sup_over_signs(partial.reshape(-1, n, rest // n), slots - 1)
+    np.abs(partial, out=partial)
+    # The ufuncs themselves: .sum()/.max() wrappers cost a measurable share at N = 2.
+    return float(np.maximum.reduce(np.add.reduce(partial, axis=2), axis=None))
 
 
 def sup_norm_exact(form: MultilinearForm, budget_bits: Optional[int] = None) -> float:
     """Exact operator norm by sign enumeration over the first m-1 slots.
 
+    Enumerates the 2^((m-1)(N-1)) patterns with s[0] = +1 in each slot.
     Raises BudgetExceededError when (m-1)*N exceeds the bit budget; use
     ``sup_norm_lower`` there instead.
     """
@@ -238,7 +257,7 @@ def sup_norm_exact(form: MultilinearForm, budget_bits: Optional[int] = None) -> 
         )
     if form.m == 1:
         return float(np.abs(form.coeffs).sum())
-    return _sup_over_signs(form.coeffs, form.N)
+    return _sup_over_signs(form.coeffs.reshape(1, form.N, -1), form.m - 1)
 
 
 def _slot_coefficients(tensor: np.ndarray, signs: list, k: int) -> np.ndarray:

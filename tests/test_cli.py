@@ -144,6 +144,26 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--suite", "blei", "--count", "100")[0] == 0
         assert run_cli(capsys, "verify", "--suite", "tensor", "--count", "50")[0] == 0
 
+    def test_battery_rejects_size_flags(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--count", "5", "--m", "7", "--n", "9", "--j", "5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--count, --m, --n, --j" in err
+        for flag in ("--count", "--m", "--n", "--j"):
+            code, out, err = run_cli(capsys, "verify", flag, "3")  # --suite all by default
+            assert code == 2
+            assert out == ""
+            assert f"drop {flag}\n" in err
+
+    def test_negative_seed_exit_2(self, capsys):
+        for command in ("verify", "search"):
+            code, out, err = run_cli(capsys, command, "--seed", "-1")
+            assert code == 2
+            assert out == ""
+            assert "argument --seed: must be >= 0, got -1" in err
+
     def test_full_battery_green(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")
         assert code == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bhbounds import forms
 from bhbounds.constants import SchemeId, constant
 from bhbounds.exponents import bh_exponent
 from bhbounds.forms import (
@@ -52,6 +53,26 @@ def sup_norm_brute(form):
     for combo in itertools.product(options, repeat=form.m):
         best = max(best, abs(evaluate(form, combo)))
     return best
+
+
+def sup_norm_full_enumeration(form):
+    """All 2^((m-1)N) sign patterns of the first m-1 slots in one contraction."""
+    n = form.N
+    codes = np.arange(1 << n)
+    signs = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    values = form.coeffs
+    for _ in range(form.m - 1):
+        values = np.tensordot(values, signs, axes=([0], [1]))
+    return float(np.abs(values).sum(axis=0).max())
+
+
+def sign_tensor(rng, m, n):
+    return np.where(rng.random((n,) * m) < 0.5, -1.0, 1.0)
+
+
+# Shapes that split a slot into several blocks or depth-first terms, and long
+# slot chains.
+KERNEL_SHAPES = [(2, 16), (3, 8), (3, 9), (5, 3), (6, 3), (9, 2), (10, 2)]
 
 
 class TestMultilinearForm:
@@ -161,6 +182,47 @@ class TestSupNormExact:
             n = int(rng.integers(1, 4))
             form = MultilinearForm(rng.standard_normal((n,) * m))
             assert sup_norm_exact(form) == pytest.approx(sup_norm_brute(form), rel=1e-12)
+
+    @pytest.mark.parametrize("m,n", KERNEL_SHAPES)
+    def test_sign_tensors_equal_full_enumeration(self, m, n):
+        form = MultilinearForm(sign_tensor(np.random.default_rng(100 * m + n), m, n))
+        assert sup_norm_exact(form) == sup_norm_full_enumeration(form)
+
+    @pytest.mark.parametrize("m,n", KERNEL_SHAPES)
+    def test_gaussian_tensors_match_full_enumeration(self, m, n):
+        form = MultilinearForm(np.random.default_rng(200 * m + n).standard_normal((n,) * m))
+        assert sup_norm_exact(form) == pytest.approx(sup_norm_full_enumeration(form), rel=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (4, 3), (6, 2)])
+    def test_small_cap_forces_blocks_everywhere(self, monkeypatch, m, n):
+        # A 16-element cap splits every slot into many sign and batch blocks,
+        # and for m >= 4 one row of the first slot exceeds the cap on its own.
+        monkeypatch.setattr(forms, "_CAP", 16)
+        rng = np.random.default_rng(300 * m + n)
+        for coeffs in (sign_tensor(rng, m, n), rng.standard_normal((n,) * m)):
+            form = MultilinearForm(coeffs)
+            assert sup_norm_exact(form) == pytest.approx(sup_norm_full_enumeration(form), rel=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (3, 3), (4, 2), (5, 3)])
+    def test_slot_sign_flip_invariance(self, m, n):
+        rng = np.random.default_rng(400 * m + n)
+        form = MultilinearForm(rng.standard_normal((n,) * m))
+        norm = sup_norm_exact(form)
+        for k in range(m):
+            d = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            shape = [1] * m
+            shape[k] = n
+            flipped = MultilinearForm(form.coeffs * d.reshape(shape))
+            assert sup_norm_exact(flipped) == norm
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+    def test_dimension_one(self, m):
+        form = MultilinearForm(np.full((1,) * m, -2.5))
+        assert sup_norm_exact(form) == 2.5
+
+    @pytest.mark.parametrize("m,n", [(1, 4), (2, 1), (2, 12), (3, 5), (9, 2)])
+    def test_zero_tensor(self, m, n):
+        assert sup_norm_exact(MultilinearForm(np.zeros((n,) * m))) == 0.0
 
     def test_budget_error(self):
         big = MultilinearForm(np.zeros((7,) * 5))  # 28 sign bits
