@@ -15,7 +15,7 @@ from dataclasses import fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .constants import ConstantsTable, SchemeId, constant, table
+from .constants import ConstantsTable, Log2Constant, SchemeId, constant, table
 from .forms import dump_form
 from .verify import (
     VerificationReport,
@@ -36,21 +36,24 @@ _SCHEME_TOKENS = {
     "dsp-complex": SchemeId.DSP_COMPLEX,
 }
 
-# Suite -> (runner taking the parsed flags and a trial count, default count).
+# Suite -> (runner taking the parsed flags and a trial count, default count,
+# the size flags it takes).
 _SUITES = {
-    "khinchine": (lambda a, count: run_khinchine_suite(count=count, seed=a.seed), 100),
-    "kcc": (lambda a, count: run_kcc_suite(count=count, seed=a.seed), 100),
-    "blei": (lambda a, count: run_blei_suite(count=count, seed=a.seed), 1000),
-    "tensor": (lambda a, count: run_tensor_suite(count=count, seed=a.seed), 200),
+    "khinchine": (lambda a, count: run_khinchine_suite(count=count, seed=a.seed), 100, ()),
+    "kcc": (lambda a, count: run_kcc_suite(count=count, seed=a.seed), 100, ()),
+    "blei": (lambda a, count: run_blei_suite(count=count, seed=a.seed), 1000, ()),
+    "tensor": (lambda a, count: run_tensor_suite(count=count, seed=a.seed), 200, ()),
     "bh": (
         lambda a, count: run_bh_trials(a.m, a.n, count, a.seed, failure_dir=a.dump_dir),
         1000,
+        ("m", "n"),
     ),
     "summing": (
         lambda a, count: check_multiple_summing(
             a.m, a.n, a.j, count, a.seed, failure_dir=a.dump_dir
         ),
         1000,
+        ("m", "n", "j"),
     ),
 }
 
@@ -64,7 +67,8 @@ _BATTERY = (
     {"suite": "summing", "m": 2, "n": 2, "j": 3, "count": 1000},
 )
 
-# Single-suite sizes when not given; --suite all rejects them and --count.
+# Size flags and their defaults for the suites that take them; --suite all
+# takes none of them and no --count either.
 _SIZE_DEFAULTS = {"m": 2, "n": 2, "j": 3}
 
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
@@ -103,23 +107,26 @@ def _exact_pair(exact: Optional[Fraction]) -> Optional[list[int]]:
     return [exact.numerator, exact.denominator]
 
 
+def _table_lines(tab: ConstantsTable) -> list[list[str]]:
+    """Header and rows of cells; an overflowed value reads 2^<log2_value>."""
+
+    def cell(cons: Log2Constant) -> str:
+        if math.isfinite(cons.value):
+            return _fmt(cons.value, tab.precision)
+        return "2^" + _fmt(cons.log2_value, tab.precision)
+
+    header = ["m"] + [s.value for s in tab.schemes]
+    return [header] + [[str(m)] + [cell(c) for c in row] for m, row in tab.rows]
+
+
 def _render_table_text(tab: ConstantsTable) -> str:
-    headers = ["m"] + [s.value for s in tab.schemes]
-    body = [
-        [str(m)] + [_fmt(c.value, tab.precision) for c in row] for m, row in tab.rows
-    ]
-    widths = [max(len(line[i]) for line in [headers] + body) for i in range(len(headers))]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for line in body:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(line, widths)))
-    return "\n".join(lines)
+    lines = _table_lines(tab)
+    widths = [max(len(cells[i]) for cells in lines) for i in range(len(lines[0]))]
+    return "\n".join("  ".join(v.rjust(w) for v, w in zip(cells, widths)) for cells in lines)
 
 
 def _render_table_csv(tab: ConstantsTable) -> str:
-    lines = [",".join(["m"] + [s.value for s in tab.schemes])]
-    for m, row in tab.rows:
-        lines.append(",".join([str(m)] + [_fmt(c.value, tab.precision) for c in row]))
-    return "\n".join(lines)
+    return "\n".join(",".join(cells) for cells in _table_lines(tab))
 
 
 def _render_table_json(tab: ConstantsTable) -> str:
@@ -173,19 +180,24 @@ def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
 
 
 def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
-    if args.suite == "all":
-        given = [f"--{name}" for name in ("count", *_SIZE_DEFAULTS) if getattr(args, name) is not None]
-        if given:
-            raise ValueError(f"--suite all runs the battery at fixed sizes; drop {', '.join(given)}")
+    battery = args.suite == "all"
+    takes = () if battery else ("count", *_SUITES[args.suite][2])
+    given = [f"--{n}" for n in ("count", *_SIZE_DEFAULTS)
+             if n not in takes and getattr(args, n) is not None]
+    if given:
+        reason = ("runs the battery at fixed sizes" if battery
+                  else "takes only " + ", ".join(f"--{n}" for n in takes))
+        raise ValueError(f"--suite {args.suite} {reason}; drop {', '.join(given)}")
+    if battery:
         runs = [argparse.Namespace(**{**vars(args), **flags}) for flags in _BATTERY]
     else:
-        for name, default in _SIZE_DEFAULTS.items():
+        for name in _SUITES[args.suite][2]:
             if getattr(args, name) is None:
-                setattr(args, name, default)
+                setattr(args, name, _SIZE_DEFAULTS[name])
         runs = [args]
     reports = []
     for run in runs:
-        runner, default_count = _SUITES[run.suite]
+        runner, default_count, _ = _SUITES[run.suite]
         reports.append(runner(run, default_count if run.count is None else run.count))
     return reports
 
@@ -227,10 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    p_verify.add_argument("--m", type=int, default=None, help="arity (default 2)")
-    p_verify.add_argument("--n", type=int, default=None, help="dimension (default 2)")
+    p_verify.add_argument("--m", type=int, default=None, help="arity, bh and summing (default 2)")
+    p_verify.add_argument("--n", type=int, default=None,
+                          help="dimension, bh and summing (default 2)")
     p_verify.add_argument("--j", type=int, default=None,
-                          help="family size for the summing suite (default 3)")
+                          help="family size, summing only (default 3)")
     p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")

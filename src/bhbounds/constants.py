@@ -35,7 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .khinchine import gamma_branch, haagerup_crossover
+from .khinchine import Branch, khinchine_A
 
 __all__ = [
     "SchemeId",
@@ -109,11 +109,12 @@ _cache_lock = threading.Lock()
 
 
 def _log2_A(p: Fraction) -> tuple[Optional[Fraction], float]:
-    """log2 of A_p as (exact-if-power-of-two, float)."""
-    if float(p) <= haagerup_crossover():
+    """log2 of A_p as (exact-if-power-of-two, float); the branch is khinchine_A's."""
+    a = khinchine_A(float(p))
+    if a.branch is Branch.POWER_OF_TWO:
         exact = Fraction(1, 2) - 1 / p
         return exact, float(exact)
-    return None, math.log2(gamma_branch(float(p)))
+    return None, math.log2(a.value)
 
 
 def _cor52_step(k: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -48,39 +48,14 @@ class KhinchineConstant:
     branch: Branch
 
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative error of the
-# reconstructed Gamma stays below 1e-14 on the positive axis, comfortably
-# inside the 1e-13 needed here.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 
 def ln_gamma(x: float) -> float:
-    """Natural logarithm of Gamma(x) for x > 0, via the Lanczos series."""
+    """Natural logarithm of Gamma(x) for x > 0, via ``math.lgamma``."""
     if x <= 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection Gamma(x) Gamma(1-x) = pi / sin(pi x); 1 - x >= 0.5.
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 def power_branch(p: float) -> float:

@@ -99,12 +99,20 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def rademacher_sums(a: Sequence[float]) -> np.ndarray:
-    """All 2^N values of sum_n a_n s_n over sign patterns s.
+def _signed_sums(values: np.ndarray) -> np.ndarray:
+    """All 2^K sums of +-values[k] over axis 0 (length K), as a new last axis.
 
-    Built by incremental doubling: each coefficient extends the previous
-    partial sums by +-a_n, so the full table costs O(2^N) adds.
+    Built by doubling: each row extends the previous partial sums by
+    +-row, so the full table costs O(2^K) adds.
     """
+    sums = np.zeros(values.shape[1:] + (1,))
+    for row in values:
+        sums = np.concatenate([sums + row[..., None], sums - row[..., None]], axis=-1)
+    return sums
+
+
+def rademacher_sums(a: Sequence[float]) -> np.ndarray:
+    """All 2^N values of sum_n a_n s_n over sign patterns s, in O(2^N) adds."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a coefficient vector, got shape {arr.shape}")
@@ -112,10 +120,7 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
         raise ValueError(
             f"N = {arr.size} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
         )
-    sums = np.zeros(1)
-    for c in arr:
-        sums = np.concatenate([sums + c, sums - c])
-    return sums
+    return _signed_sums(arr)
 
 
 def rademacher_moment(a: Sequence[float], p: float) -> float:
@@ -180,12 +185,7 @@ def _chaos_values(tensor: np.ndarray) -> np.ndarray:
     """
     values = tensor
     for _ in range(tensor.ndim):
-        expanded = np.zeros(values.shape[1:] + (1,))
-        for row in values:
-            expanded = np.concatenate(
-                [expanded + row[..., None], expanded - row[..., None]], axis=-1
-            )
-        values = expanded
+        values = _signed_sums(values)
     return values.ravel()
 
 
@@ -210,13 +210,12 @@ def check_rademacher_tensor(Y: Sequence, r: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "holds": holds}
 
 
-def _draw_form(rng: np.random.Generator, m: int, n: int, sign_entries: bool) -> MultilinearForm:
+def _draw_tensor(rng: np.random.Generator, m: int, n: int, sign_entries: bool) -> np.ndarray:
+    """An (n,)*m tensor of uniform +-1 entries, or of standard normal ones."""
     shape = (n,) * m
     if sign_entries:
-        coeffs = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    else:
-        coeffs = rng.standard_normal(shape)
-    return MultilinearForm(coeffs)
+        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    return rng.standard_normal(shape)
 
 
 def _dump_failure(
@@ -300,7 +299,7 @@ def run_bh_trials(
     bound = constant(scheme, m).value
 
     def trial(rng, i):
-        form = _draw_form(rng, m, N, sign_entries=i % 2 == 0)
+        form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
         if norm_mode == "exact":
             norm = sup_norm_exact(form)
         else:
@@ -330,7 +329,7 @@ def check_multiple_summing(
     bound = constant(scheme, m).value
 
     def trial(rng, i):
-        form = _draw_form(rng, m, N, sign_entries=i % 2 == 0)
+        form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
         families = []
         for _ in range(m):
             mat = rng.standard_normal((J, N))
@@ -358,7 +357,7 @@ def search_extremal(
     total_iterations = 0
     for restart in range(restarts):
         rng = _trial_rng(seed, restart)
-        signs = rng.integers(0, 2, size=(N,) * m) * 2.0 - 1.0
+        signs = _draw_tensor(rng, m, N, sign_entries=True)
         form = MultilinearForm(signs)
         ratio = bh_lhs(form) / sup_norm_exact(form)
         for _ in range(iterations):
@@ -447,10 +446,7 @@ def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
     def trial(rng, i):
         m = int(rng.integers(2, 4))
         n = int(rng.integers(2, 4))
-        if i % 2 == 0:
-            tensor = rng.integers(0, 2, size=(n,) * m) * 2.0 - 1.0
-        else:
-            tensor = rng.standard_normal((n,) * m)
+        tensor = _draw_tensor(rng, m, n, sign_entries=i % 2 == 0)
         r = r_values[i % len(r_values)]
         return _lhs_rhs(check_rademacher_tensor(tensor, r))
 

@@ -83,6 +83,22 @@ class TestTable:
         assert "log2" not in classic[2048]
         assert classic[2049] == {"value": None, "log2": 1024.0, "exact_log2": [1024, 1]}
 
+    def test_overflow_cell_is_log2_in_text_and_csv(self, capsys):
+        flags = ("table", "--m-min", "2049", "--m-max", "2050", "--schemes", "classic,new")
+        code, csv_out, _ = run_cli(capsys, *flags, "--format", "csv")
+        assert code == 0
+        lines = csv_out.strip().splitlines()
+        assert lines[0] == "m,classic,new"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["2049", "2^1024.000"], ["2050", "2^1024.500"],
+        ]
+        assert "inf" not in csv_out
+        code, text, _ = run_cli(capsys, *flags)
+        assert code == 0
+        assert [line.split() for line in text.strip().splitlines()] == [
+            line.split(",") for line in lines
+        ]
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--m-max", "14")
         _, second, _ = run_cli(capsys, "table", "--m-max", "14")
@@ -156,6 +172,27 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert f"drop {flag}\n" in err
+
+    def test_single_suite_rejects_stray_size_flags(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "khinchine", "--m", "7", "--n", "9", "--j", "4",
+            "--count", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert "drop --m, --n, --j\n" in err
+        code, out, err = run_cli(capsys, "verify", "--suite", "bh", "--j", "9", "--count", "2")
+        assert code == 2
+        assert out == ""
+        assert "drop --j\n" in err
+        for suite in ("kcc", "blei", "tensor"):
+            assert run_cli(capsys, "verify", "--suite", suite, "--n", "3")[0] == 2
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "summing", "--m", "2", "--n", "2", "--j", "2",
+            "--count", "3",
+        )
+        assert code == 0
+        assert out.startswith("suite=summing trials=3 ")
 
     def test_negative_seed_exit_2(self, capsys):
         for command in ("verify", "search"):

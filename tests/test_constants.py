@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import pytest
 
 from bhbounds.constants import (
@@ -218,3 +220,43 @@ class TestAsymptoticRatio:
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
             asymptotic_ratio(SchemeId.CLASSIC, 3)
+
+
+@lru_cache(maxsize=None)
+def _mp_log2_chain(scheme: SchemeId, m_max: int) -> dict:
+    """log2 C_m for m = 2..m_max, the recurrence redone at 50 digits.
+
+    The branch of A_p is decided against an mpmath root of the two
+    Haagerup formulas; COR52 divides by A on power-of-two steps and by A^2
+    on Gamma steps, NEW_REAL by A^2 on every step.
+    """
+    with mpmath.workdps(50):
+        def power(p):
+            return mpmath.mpf(2) ** (mpmath.mpf(1) / 2 - 1 / p)
+
+        def gamma(p):
+            return mpmath.sqrt(2) * (mpmath.gamma((p + 1) / 2) / mpmath.sqrt(mpmath.pi)) ** (1 / p)
+
+        p0 = mpmath.findroot(lambda p: power(p) - gamma(p), mpmath.mpf("1.85"))
+        log2 = {2: mpmath.mpf(1) / 2}
+        if scheme is SchemeId.NEW_REAL:
+            log2[3] = mpmath.mpf(5) / 6
+        for k in range(max(log2) + 1, m_max + 1):
+            if scheme is SchemeId.NEW_REAL:
+                p = mpmath.mpf(2 * k - 4) / (k - 1)
+                step, weight, prev, a_power = mpmath.mpf(1) / 2, mpmath.mpf(k - 2) / k, log2[k - 2], 2
+            else:
+                p = mpmath.mpf(2 * k - 2) / k
+                step, weight, prev = mpmath.mpf(k - 1) / (2 * k), 1 - mpmath.mpf(1) / k, log2[k - 1]
+                a_power = 1 if p <= p0 else 2
+            a = power(p) if p <= p0 else gamma(p)
+            log2[k] = step + weight * (prev - a_power * mpmath.log(a, 2))
+        return log2
+
+
+class TestLongChainAccuracy:
+    @pytest.mark.parametrize("scheme", [SchemeId.NEW_REAL, SchemeId.COR52_REAL])
+    @pytest.mark.parametrize("m", [15, 100, 2000])
+    def test_log2_against_mpmath(self, scheme, m):
+        expected = float(_mp_log2_chain(scheme, 2000)[m])
+        assert constant(scheme, m).log2_value == pytest.approx(expected, rel=1e-14, abs=0.0)
