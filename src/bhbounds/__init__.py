@@ -13,7 +13,7 @@ from .constants import (
     constant,
     table,
 )
-from .exponents import BleiParams, bh_exponent, blei_f, blei_w, s2_of
+from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
     BudgetExceededError,
     MultilinearForm,

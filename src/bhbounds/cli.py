@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .constants import ConstantsTable, Log2Constant, SchemeId, constant, table
 from .forms import dump_form
@@ -86,14 +86,19 @@ def _parse_schemes(spec: str) -> tuple[SchemeId, ...]:
     return tuple(schemes)
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for integers >= ``low``, so errors name the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -239,24 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    p_verify.add_argument("--m", type=int, default=None, help="arity, bh and summing (default 2)")
-    p_verify.add_argument("--n", type=int, default=None,
+    p_verify.add_argument("--m", type=_at_least(2), default=None,
+                          help="arity, bh and summing (default 2)")
+    p_verify.add_argument("--n", type=_at_least(1), default=None,
                           help="dimension, bh and summing (default 2)")
-    p_verify.add_argument("--j", type=int, default=None,
+    p_verify.add_argument("--j", type=_at_least(1), default=None,
                           help="family size, summing only (default 3)")
     p_verify.add_argument("--count", type=int, default=None)
-    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--seed", type=_at_least(0), default=0)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.add_argument("--dump-dir", default=None, dest="dump_dir",
                           help="directory for failing-instance tensor dumps")
     p_verify.set_defaults(func=cmd_verify)
 
     p_search = sub.add_parser("search", help="hill-climb sign tensors for large ratios")
-    p_search.add_argument("--m", type=int, default=2)
-    p_search.add_argument("--n", type=int, default=2)
-    p_search.add_argument("--restarts", type=int, default=8)
-    p_search.add_argument("--iterations", type=int, default=200)
-    p_search.add_argument("--seed", type=_seed, default=0)
+    p_search.add_argument("--m", type=_at_least(2), default=2)
+    p_search.add_argument("--n", type=_at_least(1), default=2)
+    p_search.add_argument("--restarts", type=_at_least(1), default=8)
+    p_search.add_argument("--iterations", type=_at_least(0), default=200)
+    p_search.add_argument("--seed", type=_at_least(0), default=0)
     p_search.add_argument("--out", default=None, help="path for the best tensor dump")
     p_search.set_defaults(func=cmd_search)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-__all__ = ["Scalar", "BleiParams", "blei_w", "blei_f", "bh_exponent", "s2_of"]
+__all__ = ["Scalar", "BleiParams", "blei_w", "blei_f", "bh_exponent"]
 
 Scalar = Union[int, float, Fraction]
 
@@ -60,13 +60,3 @@ def bh_exponent(m: int) -> Fraction:
         raise ValueError(f"arity must be >= 1, got {m}")
     return Fraction(2 * m, m + 1)
 
-
-def s2_of(m: int) -> Fraction:
-    """The exponent (2m-4)/(m-1) fed into the two-step recurrence.
-
-    Equals bh_exponent(m - 2): the inner block of size m - 2 is summed
-    with its own coefficient exponent.
-    """
-    if m < 3:
-        raise ValueError(f"s2_of requires m >= 3, got {m}")
-    return Fraction(2 * m - 4, m - 1)

@@ -9,7 +9,8 @@ slot collapses its maximization to an l1 sum, so the exact norm is
 
 Negating one slot's signs negates every value, which the outer abs
 undoes, so fixing s[0] = +1 in each slot leaves 2^((m-1)(N-1)) patterns
-to enumerate.  The bit budget still counts (m-1)*N bits (default 24,
+to enumerate.  ``check_budget`` is the one place that decides whether a
+shape fits the bit budget, which still counts (m-1)*N bits (default 24,
 overridable through the BH_BUDGET_BITS environment variable); past it,
 ``sup_norm_lower`` gives a certified-from-below estimate by alternating
 sign ascent.
@@ -32,7 +33,7 @@ __all__ = [
     "BUDGET_ENV_VAR",
     "MAX_TENSOR_ENTRIES",
     "BudgetExceededError",
-    "enumeration_budget_bits",
+    "check_budget",
     "MultilinearForm",
     "VectorFamily",
     "form_from_flat",
@@ -58,18 +59,26 @@ class BudgetExceededError(ValueError):
     """Sign enumeration would exceed the configured bit budget."""
 
 
-def enumeration_budget_bits() -> int:
-    """The exact-norm bit budget, from BH_BUDGET_BITS or the default."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-    if bits < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1, got {bits}")
-    return bits
+def check_budget(m: int, N: int, budget_bits: Optional[int] = None) -> int:
+    """The exact-norm bit budget, once the (m, N) shape is known to fit it.
+
+    The budget is ``budget_bits`` when given, else BH_BUDGET_BITS, else
+    DEFAULT_BUDGET_BITS.  Raises BudgetExceededError when the (m-1)*N
+    sign bits of the shape exceed it.
+    """
+    budget = budget_bits
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET_BITS))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
+        if budget < 1:
+            raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1, got {budget}")
+    bits = (m - 1) * N
+    if bits > budget:
+        raise BudgetExceededError(f"(m-1)*N = {bits} sign bits exceed the budget of {budget}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -107,15 +116,9 @@ class MultilinearForm:
 
 @dataclass(frozen=True)
 class VectorFamily:
-    """A finite family of vectors in R^N, one row per vector.
-
-    ``slot`` optionally records which argument slot (1-based) the family
-    is meant for; when set, ``multiple_summing_lhs`` checks it against the
-    family's position.
-    """
+    """A finite family of vectors in R^N, one row per vector."""
 
     vectors: np.ndarray
-    slot: Optional[int] = None
 
     def __post_init__(self) -> None:
         arr = np.array(self.vectors, dtype=float)
@@ -245,16 +248,10 @@ def sup_norm_exact(form: MultilinearForm, budget_bits: Optional[int] = None) -> 
     """Exact operator norm by sign enumeration over the first m-1 slots.
 
     Enumerates the 2^((m-1)(N-1)) patterns with s[0] = +1 in each slot.
-    Raises BudgetExceededError when (m-1)*N exceeds the bit budget; use
-    ``sup_norm_lower`` there instead.
+    Raises BudgetExceededError when the form's shape does not fit the bit
+    budget (see ``check_budget``); use ``sup_norm_lower`` there instead.
     """
-    budget = enumeration_budget_bits() if budget_bits is None else budget_bits
-    bits = (form.m - 1) * form.N
-    if bits > budget:
-        raise BudgetExceededError(
-            f"(m-1)*N = {bits} sign bits exceed the budget of {budget}; "
-            "use sup_norm_lower for a certified-from-below estimate"
-        )
+    check_budget(form.m, form.N, budget_bits)
     if form.m == 1:
         return float(np.abs(form.coeffs).sum())
     return _sup_over_signs(form.coeffs.reshape(1, form.N, -1), form.m - 1)
@@ -304,29 +301,14 @@ def bh_lhs(form: MultilinearForm) -> float:
     return float((np.abs(form.coeffs) ** p).sum() ** (1.0 / p))
 
 
-def bh_ratio(
-    form: MultilinearForm,
-    norm_mode: str = "exact",
-    restarts: int = 8,
-    seed: int = 0,
-    budget_bits: Optional[int] = None,
-) -> float:
-    """Coefficient norm over operator norm.
+def bh_ratio(form: MultilinearForm, budget_bits: Optional[int] = None) -> float:
+    """Coefficient norm over the exact operator norm.
 
-    With ``norm_mode="exact"`` the result is a certified lower bound on
-    the arity-m constant.  With ``"heuristic"`` the norm in the
-    denominator may be an underestimate, so the ratio is an uncertified
-    upper estimate and must never be read as a counterexample.
+    The result is a certified lower bound on the arity-m constant.
     """
     if not np.any(form.coeffs):
         raise ValueError("the zero form has no ratio")
-    if norm_mode == "exact":
-        norm = sup_norm_exact(form, budget_bits=budget_bits)
-    elif norm_mode == "heuristic":
-        norm = sup_norm_lower(form, restarts=restarts, seed=seed)
-    else:
-        raise ValueError(f"norm_mode must be 'exact' or 'heuristic', got {norm_mode!r}")
-    return bh_lhs(form) / norm
+    return bh_lhs(form) / sup_norm_exact(form, budget_bits=budget_bits)
 
 
 def weak_l1_norm(family: FamilyLike) -> float:
@@ -352,12 +334,7 @@ def multiple_summing_lhs(
     if len(families) != form.m:
         raise ValueError(f"expected {form.m} families, got {len(families)}")
     mats = []
-    for position, family in enumerate(families, start=1):
-        if isinstance(family, VectorFamily) and family.slot is not None:
-            if family.slot != position:
-                raise ValueError(
-                    f"family for slot {family.slot} passed in position {position}"
-                )
+    for family in families:
         mat = _family_matrix(family)
         if mat.shape[1] != form.N:
             raise ValueError(

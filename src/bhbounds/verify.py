@@ -23,14 +23,12 @@ import numpy as np
 from .constants import SchemeId, constant
 from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
-    BudgetExceededError,
     MultilinearForm,
     bh_lhs,
+    check_budget,
     dump_form,
-    enumeration_budget_bits,
     multiple_summing_lhs,
     sup_norm_exact,
-    sup_norm_lower,
     weak_l1_norm,
 )
 from .khinchine import khinchine_A, khinchine_A2r, khinchine_B
@@ -68,9 +66,9 @@ class VerificationReport:
 
     ``worst_margin`` is the minimum over trials of (rhs - lhs), or of
     (bound - ratio) for the ratio-style suites; ``max_ratio`` is the
-    largest lhs/rhs (or certified ratio) seen.  ``uncertified`` marks
-    reports whose norms came from the heuristic ascent rather than exact
-    enumeration.
+    largest lhs/rhs (or certified ratio) seen.  Every ratio rests on an
+    exact norm, so ``uncertified`` is always false; it stays so that the
+    report schema keeps its seven fields.
     """
 
     suite: str
@@ -234,7 +232,6 @@ def _run(
     seed: int,
     trial: Callable[[np.random.Generator, int], tuple],
     failure_dir: Optional[Path] = None,
-    uncertified: bool = False,
 ) -> VerificationReport:
     """Run ``count`` trials, each on its own (seed, index) generator.
 
@@ -261,7 +258,6 @@ def _run(
         worst_margin=float(worst_margin),
         max_ratio=float(max_ratio),
         seed=seed,
-        uncertified=uncertified,
     )
 
 
@@ -276,39 +272,24 @@ def run_bh_trials(
     count: int,
     seed: int,
     scheme: SchemeId = SchemeId.NEW_REAL,
-    norm_mode: str = "exact",
     failure_dir: Optional[Path] = None,
 ) -> VerificationReport:
     """Random coefficient-vs-operator-norm trials against a scheme bound.
 
     Half the tensors have +-1 entries (they probe extremal behavior),
-    half standard normal entries.  In exact mode each ratio is certified;
-    heuristic mode marks the whole report uncertified, and its "failures"
-    are not counterexamples.
+    half standard normal entries.  Each ratio is certified by the exact
+    norm; a shape past the bit budget is rejected before any draw.
     """
-    if norm_mode not in ("exact", "heuristic"):
-        raise ValueError(f"norm_mode must be 'exact' or 'heuristic', got {norm_mode!r}")
-    if norm_mode == "exact":
-        bits = (m - 1) * N
-        budget = enumeration_budget_bits()
-        if bits > budget:
-            raise BudgetExceededError(
-                f"(m-1)*N = {bits} sign bits exceed the budget of {budget}; "
-                "certified trials need the exact norm"
-            )
+    budget = check_budget(m, N)
     bound = constant(scheme, m).value
 
     def trial(rng, i):
         form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
-        if norm_mode == "exact":
-            norm = sup_norm_exact(form)
-        else:
-            norm = sup_norm_lower(form, restarts=8, seed=int(rng.integers(1 << 31)))
-        ratio = bh_lhs(form) / norm
+        ratio = bh_lhs(form) / sup_norm_exact(form, budget)
         # Negated '>' so that a NaN ratio is not counted as a failure.
         return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
 
-    return _run("bh", count, seed, trial, failure_dir, uncertified=norm_mode != "exact")
+    return _run("bh", count, seed, trial, failure_dir)
 
 
 def check_multiple_summing(
@@ -324,7 +305,9 @@ def check_multiple_summing(
 
     Families are drawn Gaussian and divided by their weak-l1 norm, so the
     bound reduces to constant(scheme, m) times the exact operator norm.
+    A shape past the bit budget is rejected before any draw.
     """
+    budget = check_budget(m, N)
     p = float(bh_exponent(m))
     bound = constant(scheme, m).value
 
@@ -335,7 +318,7 @@ def check_multiple_summing(
             mat = rng.standard_normal((J, N))
             families.append(mat / weak_l1_norm(mat))
         lhs = multiple_summing_lhs(form, families, p)
-        ratio = lhs / sup_norm_exact(form)
+        ratio = lhs / sup_norm_exact(form, budget)
         return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
 
     return _run("summing", count, seed, trial, failure_dir)
@@ -349,9 +332,11 @@ def search_extremal(
     Proposes one random entry flip at a time and accepts only strict
     ratio increases, so the ratio sequence within a restart is strictly
     increasing and the walk terminates.  Deterministic given the seed.
+    A shape past the bit budget is rejected before any draw.
     """
     if restarts < 1 or iterations < 0:
         raise ValueError("restarts must be >= 1 and iterations >= 0")
+    budget = check_budget(m, N)
     best_form = None
     best_ratio = -np.inf
     total_iterations = 0
@@ -359,14 +344,14 @@ def search_extremal(
         rng = _trial_rng(seed, restart)
         signs = _draw_tensor(rng, m, N, sign_entries=True)
         form = MultilinearForm(signs)
-        ratio = bh_lhs(form) / sup_norm_exact(form)
+        ratio = bh_lhs(form) / sup_norm_exact(form, budget)
         for _ in range(iterations):
             total_iterations += 1
             idx = tuple(rng.integers(0, N, size=m))
             flipped = signs.copy()
             flipped[idx] = -flipped[idx]
             candidate = MultilinearForm(flipped)
-            candidate_ratio = bh_lhs(candidate) / sup_norm_exact(candidate)
+            candidate_ratio = bh_lhs(candidate) / sup_norm_exact(candidate, budget)
             if candidate_ratio > ratio:
                 signs, form, ratio = flipped, candidate, candidate_ratio
         if ratio > best_ratio:

@@ -246,3 +246,15 @@ class TestUsage:
 
     def test_unknown_command_exit_2(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    def test_flag_minimums_exit_2(self, capsys):
+        minimums = {
+            "verify": {"--seed": 0, "--m": 2, "--n": 1, "--j": 1},
+            "search": {"--seed": 0, "--m": 2, "--n": 1, "--restarts": 1, "--iterations": 0},
+        }
+        for command, flags in minimums.items():
+            for flag, low in flags.items():
+                code, out, err = run_cli(capsys, command, flag, str(low - 1))
+                assert code == 2
+                assert out == ""
+                assert f"argument {flag}: must be >= {low}, got {low - 1}\n" in err

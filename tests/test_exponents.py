@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bhbounds.exponents import BleiParams, bh_exponent, blei_f, blei_w, s2_of
+from bhbounds.exponents import BleiParams, bh_exponent, blei_f, blei_w
 
 F = Fraction
 
@@ -33,7 +33,7 @@ class TestBleiW:
 
 class TestBleiF:
     def test_arity_five_orders(self):
-        params = BleiParams(F(2), F(4, 3), s2_of(5))
+        params = BleiParams(F(2), F(4, 3), bh_exponent(5 - 2))
         assert blei_f(params) == F(2, 5)
         assert blei_f(params, reverse=True) == F(3, 5)
 
@@ -42,7 +42,7 @@ class TestBleiF:
 
     def test_orders_sum_to_one_for_general_m(self):
         for m in range(3, 40):
-            params = BleiParams(F(2), F(4, 3), s2_of(m))
+            params = BleiParams(F(2), F(4, 3), bh_exponent(m - 2))
             assert blei_f(params) == F(2, m)
             assert blei_f(params, reverse=True) == 1 - F(2, m)
 
@@ -63,25 +63,10 @@ class TestBhExponent:
             bh_exponent(0)
 
 
-class TestS2:
-    def test_values(self):
-        assert s2_of(3) == F(1)
-        assert s2_of(4) == F(4, 3)
-        assert s2_of(16) == F(28, 15)
-
-    def test_equals_shifted_bh_exponent(self):
-        for m in range(3, 101):
-            assert s2_of(m) == bh_exponent(m - 2)
-
-    def test_rejects_small_m(self):
-        with pytest.raises(ValueError):
-            s2_of(2)
-
-
 class TestIdentities:
     def test_w_reproduces_bh_exponent_exactly(self):
         for m in range(3, 101):
-            params = BleiParams(F(2), F(4, 3), s2_of(m))
+            params = BleiParams(F(2), F(4, 3), bh_exponent(m - 2))
             assert blei_w(params) == bh_exponent(m)
 
     @given(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bhbounds import verify
 from bhbounds.constants import SchemeId, constant
 from bhbounds.forms import MultilinearForm, bh_lhs, sup_norm_exact
 from bhbounds.khinchine import haagerup_crossover, khinchine_A, khinchine_A2r
@@ -194,11 +195,6 @@ class TestRunBhTrials:
         with pytest.raises(BudgetExceededError):
             run_bh_trials(5, 8, 10, seed=0)
 
-    def test_heuristic_mode_is_uncertified(self):
-        report = run_bh_trials(2, 2, 20, seed=4, norm_mode="heuristic")
-        assert report.uncertified
-        assert report.failures == 0
-
     def test_failure_dump_format(self, tmp_path):
         from bhbounds.forms import load_form
         from bhbounds.verify import _dump_failure
@@ -271,6 +267,33 @@ class TestSearchExtremal:
         b = search_extremal(2, 2, restarts=4, iterations=50, seed=11)
         assert a.ratio == b.ratio
         assert np.array_equal(a.tensor.coeffs, b.tensor.coeffs)
+
+
+class TestBudgetBeforeDraw:
+    """A shape past the bit budget is rejected before any tensor is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a tensor was drawn")
+
+        monkeypatch.setattr(verify, "_draw_tensor", fail)
+
+    def test_patch_catches_draws(self):
+        with pytest.raises(AssertionError, match="drawn"):
+            run_bh_trials(2, 2, 1, seed=0)
+
+    def test_bh_trials(self):
+        with pytest.raises(BudgetExceededError):
+            run_bh_trials(5, 8, 10, seed=0)
+
+    def test_multiple_summing(self):
+        with pytest.raises(BudgetExceededError):
+            check_multiple_summing(5, 8, 3, 10, seed=0)
+
+    def test_search(self):
+        with pytest.raises(BudgetExceededError):
+            search_extremal(5, 8)
 
 
 class TestCheckMultipleSumming:
