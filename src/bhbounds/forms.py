@@ -94,13 +94,13 @@ class MultilinearForm:
         n = arr.shape[0]
         if n < 1:
             raise ValueError("dimension N must be >= 1")
-        if any(s != n for s in arr.shape):
+        if arr.shape != (n,) * arr.ndim:
             raise ValueError(f"tensor must be a hypercube, got shape {arr.shape}")
         if arr.size > MAX_TENSOR_ENTRIES:
             raise ValueError(
                 f"tensor has {arr.size} entries, over the {MAX_TENSOR_ENTRIES} cap"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)

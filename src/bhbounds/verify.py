@@ -6,17 +6,22 @@ side); the ``run_*_suite`` drivers draw randomized instances and aggregate
 them into a VerificationReport.  ``search_extremal`` hill-climbs over sign
 tensors for certified lower bounds on the arity-m constants.
 
-Randomness discipline: every trial owns a generator seeded by
-(master seed, trial index), so reports are reproducible bit-for-bit and
-trials could be distributed without changing any result.
+Randomness discipline: every trial still owns a generator seeded by
+(master seed, trial index), numpy's PCG64 on ``SeedSequence((seed, i))``,
+so reports are reproducible bit-for-bit and trials could be distributed
+without changing any result.  The generators are seeded per block of
+trial indices: numpy's SeedSequence hash runs once per block as uint32
+array arithmetic, and each trial's PCG64 takes its row of state words.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +64,24 @@ REL_SLACK = 1e-10
 #: Exact expectations enumerate at most 2^20 sign patterns.
 EXPECTATION_MAX_BITS = 20
 
+# Trial indices seeded per vectorized SeedSequence pass.
+_SEED_BLOCK = 1 << 12
+
+# A bh block holds at most this many coefficients (but at least one tensor)
+# and this many trials, whose Python floats cost more than small tensors.
+_BH_BLOCK_COEFFS = 1 << 16
+_BH_BLOCK_TRIALS = 1 << 10
+
+# The seeding hashes each trial index as one uint32 word.
+_MAX_TRIALS = 1 << 32
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -93,8 +116,83 @@ class SearchState:
     restarts: int
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
+def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Rows of ``SeedSequence((seed, i)).generate_state(4, np.uint64)``.
+
+    numpy's hash on uint32 arrays, one lane per index i < 2^32: the
+    entropy is seed's little-endian 32-bit words followed by i, mixed
+    into a 4-word pool, from which 8 words are drawn and paired into 4
+    little-endian uint64 words.  The hash constant advances the same way
+    in every lane, so it stays a Python int.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    lanes = len(indices)
+    entropy = [np.full(lanes, seed >> shift & _MASK32, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(indices.astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    zero = np.zeros(lanes, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((lanes, 2 * _POOL_SIZE), dtype="<u4")
+    const = _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, k] = value ^ (value >> np.uint32(16))
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _given_state():
+    """An ISeedSequence that hands its bit generator fixed state words.
+
+    Defined on first use: a subclass made at import would load
+    numpy.random into every process that imports bhbounds.
+    """
+
+    class GivenState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return GivenState
+
+
+def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """``Generator(PCG64(SeedSequence((seed, i))))`` for i in range(count).
+
+    The seed words come from ``_seed_words``, _SEED_BLOCK indices at a
+    time; ``count`` must not exceed _MAX_TRIALS.
+    """
+    given = _given_state()
+    for first in range(0, count, _SEED_BLOCK):
+        indices = np.arange(first, min(first + _SEED_BLOCK, count))
+        for words in _seed_words(seed, indices):
+            yield np.random.Generator(np.random.PCG64(given(words)))
 
 
 def _signed_sums(values: np.ndarray) -> np.ndarray:
@@ -230,27 +328,36 @@ def _run(
     suite: str,
     count: int,
     seed: int,
-    trial: Callable[[np.random.Generator, int], tuple],
+    block: Callable[[range, Iterator[np.random.Generator]], tuple],
     failure_dir: Optional[Path] = None,
+    block_size: int = _SEED_BLOCK,
 ) -> VerificationReport:
     """Run ``count`` trials, each on its own (seed, index) generator.
 
-    ``trial(rng, i)`` returns (margin, ratio, holds, form or None).  The
-    report keeps the minimum margin and the maximum ratio; each trial that
-    does not hold is counted and its form dumped to ``failure_dir``.
+    ``block(indices, rngs)`` runs the trials in ``indices`` (at most
+    ``block_size`` of them), taking their generators in order from
+    ``rngs``, and returns arrays of their margins, ratios and outcomes,
+    and a function from a failing trial's position in the block to its
+    form.  The report keeps the minimum margin and the maximum ratio,
+    skipping NaN; each trial that does not hold is counted and its form
+    dumped to ``failure_dir``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if count > _MAX_TRIALS:
+        raise ValueError(f"count must be <= 2^32, got {count}")
     failures = 0
     worst_margin = np.inf
     max_ratio = 0.0
-    for i in range(count):
-        margin, ratio, holds, form = trial(_trial_rng(seed, i), i)
-        worst_margin = min(worst_margin, margin)
-        max_ratio = max(max_ratio, ratio)
-        if not holds:
+    rngs = _trial_rngs(seed, count)
+    for first in range(0, count, block_size):
+        indices = range(first, min(first + block_size, count))
+        margins, ratios, holds, form = block(indices, rngs)
+        worst_margin = np.fmin.reduce(margins, initial=worst_margin)
+        max_ratio = np.fmax.reduce(ratios, initial=max_ratio)
+        for j in np.flatnonzero(~holds):
             failures += 1
-            _dump_failure(failure_dir, suite, i, form, seed)
+            _dump_failure(failure_dir, suite, indices[j], form(j), seed)
     return VerificationReport(
         suite=suite,
         trials=count,
@@ -259,6 +366,39 @@ def _run(
         max_ratio=float(max_ratio),
         seed=seed,
     )
+
+
+def _per_trial(trial: Callable[[np.random.Generator, int], tuple]) -> Callable:
+    """A ``_run`` block from ``trial(rng, i) -> (margin, ratio, holds, form or None)``.
+
+    Only failing trials' forms are kept.
+    """
+
+    def block(indices, rngs):
+        results = []
+        # zip stops at the end of indices before it takes another generator.
+        for i, rng in zip(indices, rngs):
+            margin, ratio, holds, form = trial(rng, i)
+            results.append((margin, ratio, holds, None if holds else form))
+        margins, ratios, holds, forms = zip(*results)
+        return np.array(margins), np.array(ratios), np.array(holds), forms.__getitem__
+
+    return block
+
+
+def _bh_ratios(tensors: np.ndarray, budget: int) -> np.ndarray:
+    """``bh_lhs(T) / sup_norm_exact(T)`` for each T of a (B, N, ..., N) stack.
+
+    One exact-norm call per tensor; the coefficient norms' power sums in
+    one pass over the stack, whose row sums match ``bh_lhs``'s.  Each root
+    is taken on a Python float: an array power can differ by 1 ulp.
+    """
+    p = float(bh_exponent(tensors.ndim - 1))
+    norms = [sup_norm_exact(MultilinearForm(t), budget) for t in tensors]
+    powers = np.abs(tensors.reshape(len(tensors), -1))
+    powers **= p
+    sums = powers.sum(axis=1)
+    return np.array([s ** (1.0 / p) for s in sums.tolist()]) / norms
 
 
 def _lhs_rhs(res: dict) -> tuple[float, float, bool, None]:
@@ -283,13 +423,17 @@ def run_bh_trials(
     budget = check_budget(m, N)
     bound = constant(scheme, m).value
 
-    def trial(rng, i):
-        form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
-        ratio = bh_lhs(form) / sup_norm_exact(form, budget)
+    def block(indices, rngs):
+        tensors = np.empty((len(indices),) + (N,) * m)
+        for j, (i, rng) in enumerate(zip(indices, rngs)):
+            tensors[j] = _draw_tensor(rng, m, N, sign_entries=i % 2 == 0)
+        ratios = _bh_ratios(tensors, budget)
         # Negated '>' so that a NaN ratio is not counted as a failure.
-        return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
+        holds = ~(ratios > bound * (1.0 + REL_SLACK))
+        return bound - ratios, ratios, holds, lambda j: MultilinearForm(tensors[j])
 
-    return _run("bh", count, seed, trial, failure_dir)
+    block_size = max(1, min(_BH_BLOCK_TRIALS, _BH_BLOCK_COEFFS // N**m))
+    return _run("bh", count, seed, block, failure_dir, block_size)
 
 
 def check_multiple_summing(
@@ -321,7 +465,7 @@ def check_multiple_summing(
         ratio = lhs / sup_norm_exact(form, budget)
         return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
 
-    return _run("summing", count, seed, trial, failure_dir)
+    return _run("summing", count, seed, _per_trial(trial), failure_dir)
 
 
 def search_extremal(
@@ -334,14 +478,13 @@ def search_extremal(
     increasing and the walk terminates.  Deterministic given the seed.
     A shape past the bit budget is rejected before any draw.
     """
-    if restarts < 1 or iterations < 0:
-        raise ValueError("restarts must be >= 1 and iterations >= 0")
+    if not 1 <= restarts <= _MAX_TRIALS or iterations < 0:
+        raise ValueError("restarts must be in [1, 2^32] and iterations >= 0")
     budget = check_budget(m, N)
     best_form = None
     best_ratio = -np.inf
     total_iterations = 0
-    for restart in range(restarts):
-        rng = _trial_rng(seed, restart)
+    for rng in _trial_rngs(seed, restarts):
         signs = _draw_tensor(rng, m, N, sign_entries=True)
         form = MultilinearForm(signs)
         ratio = bh_lhs(form) / sup_norm_exact(form, budget)
@@ -381,7 +524,7 @@ def run_khinchine_suite(
         ratio = max(res["lhs"] / res["mid"], res["mid"] / res["rhs"])
         return margin, ratio, res["holds"], None
 
-    return _run("khinchine", count, seed, trial)
+    return _run("khinchine", count, seed, _per_trial(trial))
 
 
 def run_kcc_suite(
@@ -404,7 +547,7 @@ def run_kcc_suite(
         p, r = pairs[i % len(pairs)]
         return _lhs_rhs(check_kcc(a, p, r))
 
-    return _run("kcc", count, seed, trial)
+    return _run("kcc", count, seed, _per_trial(trial))
 
 
 def run_blei_suite(
@@ -421,7 +564,7 @@ def run_blei_suite(
         s2 = 1.0 + rng.uniform(0.0, 0.95) * (q - 1.0)
         return _lhs_rhs(check_blei(mat, q, s1, s2))
 
-    return _run("blei", count, seed, trial)
+    return _run("blei", count, seed, _per_trial(trial))
 
 
 def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
@@ -435,4 +578,4 @@ def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
         r = r_values[i % len(r_values)]
         return _lhs_rhs(check_rademacher_tensor(tensor, r))
 
-    return _run("tensor", count, seed, trial)
+    return _run("tensor", count, seed, _per_trial(trial))

@@ -258,3 +258,17 @@ class TestUsage:
                 assert code == 2
                 assert out == ""
                 assert f"argument {flag}: must be >= {low}, got {low - 1}\n" in err
+
+    def test_table_flag_limits_exit_2(self, capsys):
+        # Each flag one step past its limit: the error names the flag.
+        past = {
+            ("--m-min", "1"): "must be >= 2, got 1",
+            ("--m-max", "1"): "must be >= 2, got 1",
+            ("--m-max", "100001"): "must be <= 100000, got 100001",
+            ("--precision", "-1"): "must be >= 0, got -1",
+        }
+        for (flag, value), message in past.items():
+            code, out, err = run_cli(capsys, "table", flag, value)
+            assert code == 2
+            assert out == ""
+            assert f"argument {flag}: {message}\n" in err

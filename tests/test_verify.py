@@ -349,3 +349,112 @@ class TestSuiteRunners:
         report = run_khinchine_suite(count=5, seed=1)
         keys = list(__import__("json").loads(report.to_json()).keys())
         assert keys == ["suite", "trials", "failures", "worst_margin", "max_ratio", "seed", "uncertified"]
+
+    def test_count_over_index_width_rejected(self):
+        # Trial indices are hashed as one uint32 word each.
+        with pytest.raises(ValueError, match="count must be <= 2\\^32"):
+            run_khinchine_suite(count=2**32 + 1)
+
+
+class TestTrialStreams:
+    """Block-seeded trial generators are numpy's default_rng((seed, i))."""
+
+    # 1 to 5 uint32 words.
+    SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1, 3**100)
+    # Around the seeding block boundary, and the largest index.
+    INDICES = (0, 1, 2, 4095, 4096, 4097, 2**32 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words(self, seed):
+        words = verify._seed_words(seed, np.array(self.INDICES))
+        for i, row in zip(self.INDICES, words):
+            expected = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+            assert row.dtype == np.uint64
+            assert row.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_first_draws(self, seed):
+        rngs = list(verify._trial_rngs(seed, 4098))
+        assert len(rngs) == 4098
+        for i in (0, 1, 4095, 4096, 4097):
+            expected = np.random.default_rng((seed, i))
+            assert rngs[i].bit_generator.state == expected.bit_generator.state
+            assert rngs[i].standard_normal(3).tolist() == expected.standard_normal(3).tolist()
+            assert rngs[i].integers(0, 2, size=8).tolist() == expected.integers(0, 2, size=8).tolist()
+
+    def test_search_restarts_bound(self):
+        with pytest.raises(ValueError, match="restarts"):
+            search_extremal(2, 2, restarts=2**32 + 1)
+
+
+class TestBlockedBhRatios:
+    """Blocked bh ratios are bh_lhs / sup_norm_exact, bit for bit."""
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2), (2, 5)])
+    def test_equal_to_per_form_ratio(self, m, n):
+        rng = np.random.default_rng(500 * m + n)
+        signs = rng.integers(0, 2, size=(500,) + (n,) * m) * 2.0 - 1.0
+        gaussian = rng.standard_normal((500,) + (n,) * m)
+        for tensors in (signs, gaussian):
+            ratios = verify._bh_ratios(tensors, 24)
+            expected = []
+            for t in tensors:
+                form = MultilinearForm(t)
+                expected.append(bh_lhs(form) / sup_norm_exact(form))
+            assert ratios.tolist() == expected
+
+    @pytest.mark.parametrize("m,n,count", [(2, 2, 2500), (3, 3, 300), (2, 5, 60)])
+    def test_report_equals_per_trial_loop(self, m, n, count):
+        # The report a trial-at-a-time loop on default_rng((seed, i)) gives,
+        # across several bh blocks.
+        seed = 4
+        bound = constant(SchemeId.NEW_REAL, m).value
+        worst_margin, max_ratio = math.inf, 0.0
+        for i in range(count):
+            rng = np.random.default_rng((seed, i))
+            if i % 2 == 0:
+                tensor = rng.integers(0, 2, size=(n,) * m) * 2.0 - 1.0
+            else:
+                tensor = rng.standard_normal((n,) * m)
+            form = MultilinearForm(tensor)
+            ratio = bh_lhs(form) / sup_norm_exact(form)
+            worst_margin = min(worst_margin, bound - ratio)
+            max_ratio = max(max_ratio, ratio)
+        report = run_bh_trials(m, n, count, seed)
+        assert (report.worst_margin, report.max_ratio) == (worst_margin, max_ratio)
+
+    def test_memory_is_bounded_by_blocks(self, monkeypatch):
+        import tracemalloc
+
+        # The stacked draws are under test, not the kernel: a cheap norm
+        # keeps the 3000 (4,6) trials fast.
+        monkeypatch.setattr(
+            verify, "sup_norm_exact", lambda form, budget: float(np.abs(form.coeffs).sum())
+        )
+        tracemalloc.start()
+        try:
+            run_bh_trials(4, 6, count=3000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One unblocked stack of these draws alone is 3000 * 6^4 * 8 B = 31 MB.
+        assert peak < 8 * 2**20
+
+
+def test_import_leaves_numpy_random_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "import bhbounds; print(before, 'numpy.random' in sys.modules)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy loads numpy.random on import itself")
+    assert out == ["False", "False"]
