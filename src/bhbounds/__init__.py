@@ -17,7 +17,6 @@ from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
     BudgetExceededError,
     MultilinearForm,
-    VectorFamily,
     bh_lhs,
     bh_ratio,
     dump_form,

@@ -1,8 +1,8 @@
 """Command-line interface: constant tables, verification suites, search.
 
 Exit codes: 0 on success, 1 when any inequality check fails, 2 on usage
-or enumeration-budget errors.  Identical flags and seed give byte-identical
-output.
+or enumeration-budget errors and on an output path that cannot be
+written.  Identical flags and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -223,13 +223,13 @@ def cmd_search(args: argparse.Namespace) -> int:
     state = search_extremal(
         args.m, args.n, restarts=args.restarts, iterations=args.iterations, seed=args.seed
     )
+    if args.out:
+        dump_form(state.tensor, args.out, seed=args.seed)
     bound = constant(SchemeId.NEW_REAL, args.m).value
     print(
         f"ratio={state.ratio!r} bound={bound!r} m={args.m} n={args.n} "
         f"restarts={state.restarts} iterations={state.iterations} seed={args.seed}"
     )
-    if args.out:
-        dump_form(state.tensor, args.out, seed=args.seed)
     return 0
 
 
@@ -284,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:  # BudgetExceededError included
+    except (ValueError, OSError) as exc:  # BudgetExceededError; an unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ sign ascent.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ __all__ = [
     "BudgetExceededError",
     "check_budget",
     "MultilinearForm",
-    "VectorFamily",
     "form_from_flat",
     "to_interchange",
     "from_interchange",
@@ -114,30 +114,10 @@ class MultilinearForm:
         return self.coeffs.shape[0]
 
 
-@dataclass(frozen=True)
-class VectorFamily:
-    """A finite family of vectors in R^N, one row per vector."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.vectors, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"vectors must be a (J, N) array, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("a family needs at least one vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("family entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "vectors", arr)
-
-
-FamilyLike = Union[VectorFamily, np.ndarray, Sequence[Sequence[float]]]
+FamilyLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
 
 def _family_matrix(family: FamilyLike) -> np.ndarray:
-    if isinstance(family, VectorFamily):
-        return family.vectors
     arr = np.asarray(family, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError(f"family must be a nonempty (J, N) array, got shape {arr.shape}")
@@ -192,18 +172,14 @@ def evaluate(form: MultilinearForm, args: Sequence[Sequence[float]]) -> float:
 # holds at most one such array.
 _CAP = 1 << 14
 
-# n -> the 2^(n-1) sign rows of length n with s[0] = +1.  The kernel asks
-# only for n with n * 2^(n-1) <= _CAP, so this holds at most 14 matrices.
-_HALF_SIGNS: dict = {}
-
-
+# Unbounded: the kernel asks only for n with n * 2^(n-1) <= _CAP, so the
+# cache holds at most 14 matrices.
+@functools.lru_cache(maxsize=None)
 def _half_signs(n: int) -> np.ndarray:
-    signs = _HALF_SIGNS.get(n)
-    if signs is None:
-        codes = np.arange(1, 1 << n, 2, dtype=np.int64)  # odd: bit 0 sets s[0] = +1
-        signs = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-        signs.flags.writeable = False
-        _HALF_SIGNS[n] = signs
+    """The 2^(n-1) sign rows of length n with s[0] = +1, read-only."""
+    codes = np.arange(1, 1 << n, 2, dtype=np.int64)  # odd: bit 0 sets s[0] = +1
+    signs = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    signs.flags.writeable = False
     return signs
 
 
@@ -252,9 +228,15 @@ def sup_norm_exact(form: MultilinearForm, budget_bits: Optional[int] = None) -> 
     budget (see ``check_budget``); use ``sup_norm_lower`` there instead.
     """
     check_budget(form.m, form.N, budget_bits)
-    if form.m == 1:
-        return float(np.abs(form.coeffs).sum())
-    return _sup_over_signs(form.coeffs.reshape(1, form.N, -1), form.m - 1)
+    return _exact_norm(form.coeffs)
+
+
+def _exact_norm(coeffs: np.ndarray) -> float:
+    """The kernel behind ``sup_norm_exact``, on a hypercube array whose
+    shape the caller has already passed through ``check_budget``."""
+    if coeffs.ndim == 1:
+        return float(np.abs(coeffs).sum())
+    return _sup_over_signs(coeffs.reshape(1, coeffs.shape[0], -1), coeffs.ndim - 1)
 
 
 def _slot_coefficients(tensor: np.ndarray, signs: list, k: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from .constants import SchemeId, constant
 from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
     MultilinearForm,
+    _exact_norm,
     bh_lhs,
     check_budget,
     dump_form,
@@ -473,36 +474,38 @@ def search_extremal(
 ) -> SearchState:
     """Hill-climb over sign tensors for a large certified ratio.
 
-    Proposes one random entry flip at a time and accepts only strict
-    ratio increases, so the ratio sequence within a restart is strictly
-    increasing and the walk terminates.  Deterministic given the seed.
-    A shape past the bit budget is rejected before any draw.
+    Each restart draws a +-1 tensor and walks it in place: a proposal
+    flips one random entry, and a flip that does not strictly raise the
+    ratio is flipped back.  Every entry stays +-1, so the coefficient norm
+    ``bh_lhs`` is the same for the whole walk and only the exact norm is
+    recomputed; the shape never changes, so one budget check covers every
+    proposal.  Deterministic given the seed.  A shape past the bit budget
+    is rejected before any draw.
     """
     if not 1 <= restarts <= _MAX_TRIALS or iterations < 0:
         raise ValueError("restarts must be in [1, 2^32] and iterations >= 0")
     budget = check_budget(m, N)
-    best_form = None
-    best_ratio = -np.inf
-    total_iterations = 0
+    best_signs, best_ratio = None, -np.inf
     for rng in _trial_rngs(seed, restarts):
         signs = _draw_tensor(rng, m, N, sign_entries=True)
         form = MultilinearForm(signs)
-        ratio = bh_lhs(form) / sup_norm_exact(form, budget)
+        lhs = bh_lhs(form)
+        ratio = lhs / sup_norm_exact(form, budget)
         for _ in range(iterations):
-            total_iterations += 1
             idx = tuple(rng.integers(0, N, size=m))
-            flipped = signs.copy()
-            flipped[idx] = -flipped[idx]
-            candidate = MultilinearForm(flipped)
-            candidate_ratio = bh_lhs(candidate) / sup_norm_exact(candidate, budget)
-            if candidate_ratio > ratio:
-                signs, form, ratio = flipped, candidate, candidate_ratio
+            signs[idx] = -signs[idx]
+            candidate = lhs / _exact_norm(signs)
+            if candidate > ratio:
+                ratio = candidate
+            else:
+                signs[idx] = -signs[idx]
         if ratio > best_ratio:
-            best_form, best_ratio = form, ratio
+            # Each restart draws a new array, so this one is never flipped again.
+            best_signs, best_ratio = signs, ratio
     return SearchState(
-        tensor=best_form,
+        tensor=MultilinearForm(best_signs),
         ratio=float(best_ratio),
-        iterations=total_iterations,
+        iterations=restarts * iterations,
         restarts=restarts,
     )
 

@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bhbounds import verify
 from bhbounds.cli import main
 from bhbounds.forms import load_form
 
@@ -238,6 +240,30 @@ class TestSearch:
         code, _, err = run_cli(capsys, "search", "--m", "5", "--n", "8")
         assert code == 2
         assert "budget" in err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        # A missing parent directory, and a path that is a directory.
+        for out_path in (tmp_path / "missing" / "best.json", tmp_path):
+            code, out, err = run_cli(
+                capsys, "search", "--m", "2", "--n", "2", "--out", str(out_path)
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
+
+class TestDumpDir:
+    def test_dump_dir_naming_a_file_exit_2(self, capsys, monkeypatch, tmp_path):
+        # A zero bound makes every trial fail, so the first dump is attempted.
+        monkeypatch.setattr(verify, "constant", lambda scheme, m: SimpleNamespace(value=0.0))
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "bh", "--count", "3", "--dump-dir", str(blocker)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestUsage:

@@ -11,7 +11,6 @@ from bhbounds.exponents import bh_exponent
 from bhbounds.forms import (
     BudgetExceededError,
     MultilinearForm,
-    VectorFamily,
     bh_lhs,
     bh_ratio,
     check_budget,
@@ -242,6 +241,15 @@ class TestSupNormExact:
         with pytest.raises(BudgetExceededError):
             sup_norm_exact(MultilinearForm(LITTLEWOOD), budget_bits=1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_half_sign_rows_cached_read_only(self, n):
+        signs = forms._half_signs(n)
+        assert forms._half_signs(n) is signs
+        assert not signs.flags.writeable
+        expected = {(1.0,) + rest for rest in itertools.product((-1.0, 1.0), repeat=n - 1)}
+        assert signs.shape == (1 << (n - 1), n)
+        assert set(map(tuple, signs.tolist())) == expected
+
 
 class TestCheckBudget:
     def test_default_boundary(self, monkeypatch):
@@ -363,10 +371,6 @@ class TestWeakL1:
 
     def test_canonical_basis_family(self):
         assert weak_l1_norm(np.eye(5)) == 1.0
-
-    def test_vector_family_wrapper(self):
-        family = VectorFamily(np.array([[1.0, -2.0], [0.5, 0.5]]))
-        assert weak_l1_norm(family) == pytest.approx(2.5)
 
     def test_monte_carlo_dual_ball_never_exceeds(self):
         rng = np.random.default_rng(13)

@@ -269,6 +269,61 @@ class TestSearchExtremal:
         assert np.array_equal(a.tensor.coeffs, b.tensor.coeffs)
 
 
+def _reference_walk(m, N, restarts, iterations, seed):
+    """Each restart's final form and ratio, from a walk that copies the
+    tensor and builds a new form for every proposal."""
+    finals = []
+    for i in range(restarts):
+        rng = np.random.default_rng((seed, i))
+        signs = rng.integers(0, 2, size=(N,) * m) * 2.0 - 1.0
+        form = MultilinearForm(signs)
+        ratio = bh_lhs(form) / sup_norm_exact(form)
+        for _ in range(iterations):
+            idx = tuple(rng.integers(0, N, size=m))
+            flipped = signs.copy()
+            flipped[idx] = -flipped[idx]
+            candidate = MultilinearForm(flipped)
+            candidate_ratio = bh_lhs(candidate) / sup_norm_exact(candidate)
+            if candidate_ratio > ratio:
+                signs, form, ratio = flipped, candidate, candidate_ratio
+        finals.append((form, ratio))
+    return finals
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize(
+        "m,n,restarts,iterations,seed",
+        [
+            (2, 1, 2, 10, 0),
+            (2, 3, 3, 40, 7),
+            (3, 4, 3, 60, 2),
+            (4, 3, 3, 60, 4),
+            (5, 3, 2, 40, 5),
+            (3, 3, 4, 0, 1),
+        ],
+    )
+    def test_same_walk(self, m, n, restarts, iterations, seed):
+        finals = _reference_walk(m, n, restarts, iterations, seed)
+        # The first restart with the largest ratio wins.
+        best_form, best_ratio = max(finals, key=lambda final: final[1])
+        state = search_extremal(m, n, restarts=restarts, iterations=iterations, seed=seed)
+        assert state.ratio == best_ratio
+        assert np.array_equal(state.tensor.coeffs, best_form.coeffs)
+        assert state.iterations == restarts * iterations
+        assert state.restarts == restarts
+
+    def test_best_from_an_earlier_restart_is_kept(self):
+        finals = _reference_walk(3, 3, 4, 10, 0)
+        ratios = [ratio for _, ratio in finals]
+        best = ratios.index(max(ratios))
+        # The case is only a check if a later restart ends on another tensor.
+        assert best < 3 and max(ratios) > ratios[-1]
+        assert not np.array_equal(finals[best][0].coeffs, finals[-1][0].coeffs)
+        state = search_extremal(3, 3, restarts=4, iterations=10, seed=0)
+        assert state.ratio == ratios[best]
+        assert np.array_equal(state.tensor.coeffs, finals[best][0].coeffs)
+
+
 class TestBudgetBeforeDraw:
     """A shape past the bit budget is rejected before any tensor is drawn."""
 
