@@ -86,6 +86,9 @@ def _parse_schemes(spec: str) -> tuple[SchemeId, ...]:
             raise ValueError(
                 f"unknown scheme {token!r}; choose from {', '.join(_SCHEME_TOKENS)}"
             )
+        # JSON keys each row's values by scheme, so a repeat would lose a column.
+        if _SCHEME_TOKENS[token] in schemes:
+            raise ValueError(f"scheme {token!r} given twice")
         schemes.append(_SCHEME_TOKENS[token])
     return tuple(schemes)
 
@@ -164,6 +167,8 @@ def _render_table_json(tab: ConstantsTable) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     schemes = _parse_schemes(args.schemes)
+    if args.m_min > args.m_max:
+        raise ValueError(f"--m-min {args.m_min} is greater than --m-max {args.m_max}")
     tab = table(args.m_min, args.m_max, schemes, precision=args.precision)
     if args.format == "text":
         print(_render_table_text(tab))

@@ -14,6 +14,15 @@ shape fits the bit budget, which still counts (m-1)*N bits (default 24,
 overridable through the BH_BUDGET_BITS environment variable); past it,
 ``sup_norm_lower`` gives a certified-from-below estimate by alternating
 sign ascent.
+
+In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
+``_sign_products`` (S[r, k] is the product of pattern k's signs at the
+first m-1 indices of row r), the norm is max_k sum_c |P[c, k]| for the
+pattern table P = M.T @ S.  Changing the entry at row r, column c of M
+changes only P[c], by the change times S[r]; ``verify.search_extremal``
+scores its one-entry flips that way.  On a tensor of integers whose
+absolute sum is below 2^53 every such sum is exact, so the table gives
+the kernel's norm bit for bit.
 """
 
 from __future__ import annotations
@@ -181,6 +190,20 @@ def _half_signs(n: int) -> np.ndarray:
     signs = ((codes[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
     signs.flags.writeable = False
     return signs
+
+
+def _sign_products(m: int, n: int) -> np.ndarray:
+    """S: the (n^(m-1), 2^((m-1)(n-1))) sign products of the exact norm.
+
+    Row r, for the first m-1 indices (i1, ..., i(m-1)) of a row-major
+    tensor, holds s1[i1] * ... * s(m-1)[i(m-1)] for every pattern of the
+    kernel (s[0] = +1 in each slot), as the Kronecker product of m-1
+    copies of ``_half_signs(n).T``.  For m = 1 it is the 1x1 matrix [1].
+    """
+    rows = np.ones((1, 1))
+    for _ in range(m - 1):
+        rows = np.kron(rows, _half_signs(n).T)
+    return rows
 
 
 def _sup_over_signs(batch: np.ndarray, slots: int) -> float:

@@ -28,8 +28,10 @@ import numpy as np
 from .constants import SchemeId, constant
 from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
+    MAX_TENSOR_ENTRIES,
     MultilinearForm,
     _exact_norm,
+    _sign_products,
     bh_lhs,
     check_budget,
     dump_form,
@@ -474,31 +476,46 @@ def search_extremal(
 ) -> SearchState:
     """Hill-climb over sign tensors for a large certified ratio.
 
-    Each restart draws a +-1 tensor and walks it in place: a proposal
-    flips one random entry, and a flip that does not strictly raise the
-    ratio is flipped back.  Every entry stays +-1, so the coefficient norm
-    ``bh_lhs`` is the same for the whole walk and only the exact norm is
-    recomputed; the shape never changes, so one budget check covers every
-    proposal.  Deterministic given the seed.  A shape past the bit budget
-    is rejected before any draw.
+    Each restart draws a +-1 tensor and walks it: a proposal flips one
+    random entry and is kept only if it strictly raises the ratio.  Every
+    entry stays +-1, so the coefficient norm ``bh_lhs`` is the same for
+    the whole walk and only the exact norm changes.
+
+    The norm is max_k R[k] over the pattern table P = M.T @ S, where
+    M = tensor.reshape(-1, N), S holds the sign products of
+    ``forms._sign_products`` and R = sum_c |P[c]|.  The search builds S
+    once, and each restart builds P, |P| and R.  Flipping the entry ``old``
+    at row r, column c of M moves only P[c], by -2*old*S[r], so a proposal
+    scores lhs / max(R - |P[c]| + |P[c] - 2*old*S[r]|) and writes nothing;
+    an accepted one writes the sign, P[c], |P[c]| and R.  Every sum is an
+    integer below 2^53, so each score equals ``lhs / _exact_norm(tensor)``
+    bit for bit.  Where S and P together would hold more than
+    MAX_TENSOR_ENTRIES entries, each proposal instead flips its entry in
+    place, is scored through the kernel and is flipped back if rejected.
+
+    The shape never changes, so one budget check covers every proposal; a
+    shape past the bit budget is rejected before any draw.  Deterministic
+    given the seed.
     """
+    if m < 1 or N < 1:
+        raise ValueError(f"m and N must be >= 1, got m={m}, N={N}")
     if not 1 <= restarts <= _MAX_TRIALS or iterations < 0:
         raise ValueError("restarts must be in [1, 2^32] and iterations >= 0")
     budget = check_budget(m, N)
+    products = None
+    # S has N^(m-1) rows and P has N, each one entry per enumerated pattern.
+    if (N ** (m - 1) + N) << ((m - 1) * (N - 1)) <= MAX_TENSOR_ENTRIES:
+        products = _sign_products(m, N)
     best_signs, best_ratio = None, -np.inf
     for rng in _trial_rngs(seed, restarts):
         signs = _draw_tensor(rng, m, N, sign_entries=True)
         form = MultilinearForm(signs)
         lhs = bh_lhs(form)
         ratio = lhs / sup_norm_exact(form, budget)
-        for _ in range(iterations):
-            idx = tuple(rng.integers(0, N, size=m))
-            signs[idx] = -signs[idx]
-            candidate = lhs / _exact_norm(signs)
-            if candidate > ratio:
-                ratio = candidate
-            else:
-                signs[idx] = -signs[idx]
+        if products is None:
+            ratio = _walk_by_kernel(signs, lhs, ratio, rng, iterations)
+        else:
+            ratio = _walk_by_table(signs, products, lhs, ratio, rng, iterations)
         if ratio > best_ratio:
             # Each restart draws a new array, so this one is never flipped again.
             best_signs, best_ratio = signs, ratio
@@ -508,6 +525,48 @@ def search_extremal(
         iterations=restarts * iterations,
         restarts=restarts,
     )
+
+
+def _walk_by_table(
+    signs: np.ndarray, products: np.ndarray, lhs: float, ratio: float,
+    rng: np.random.Generator, iterations: int,
+) -> float:
+    """Walk ``signs`` in place, scoring proposals from the pattern table."""
+    m, n = signs.ndim, signs.shape[0]
+    rows = signs.reshape(-1, n)
+    sums = rows.T @ products
+    mags = np.abs(sums)
+    totals = mags.sum(axis=0)
+    place = n ** np.arange(m - 1, -1, -1)
+    for _ in range(iterations):
+        r, c = divmod(int(rng.integers(0, n, size=m) @ place), n)
+        old = rows[r, c]
+        column = sums[c] - (2.0 * old) * products[r]
+        mag = np.abs(column)
+        candidate = lhs / float(np.maximum.reduce(totals - mags[c] + mag))
+        if candidate > ratio:
+            ratio = candidate
+            rows[r, c] = -old
+            sums[c] = column
+            totals += mag - mags[c]
+            mags[c] = mag
+    return ratio
+
+
+def _walk_by_kernel(
+    signs: np.ndarray, lhs: float, ratio: float, rng: np.random.Generator, iterations: int
+) -> float:
+    """Walk ``signs`` in place, scoring proposals through the exact-norm kernel."""
+    m, n = signs.ndim, signs.shape[0]
+    for _ in range(iterations):
+        idx = tuple(rng.integers(0, n, size=m))
+        signs[idx] = -signs[idx]
+        candidate = lhs / _exact_norm(signs)
+        if candidate > ratio:
+            ratio = candidate
+        else:
+            signs[idx] = -signs[idx]
+    return ratio
 
 
 def run_khinchine_suite(

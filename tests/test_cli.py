@@ -71,6 +71,19 @@ class TestTable:
         assert run_cli(capsys, "table", "--schemes", "nope")[0] == 2
         assert run_cli(capsys, "table", "--format", "yaml")[0] == 2
 
+    def test_repeated_scheme_exit_2(self, capsys):
+        # JSON would key two columns by one scheme and keep only one of them.
+        for spec, token in (("new,cor52,new", "new"), ("classic, classic", "classic")):
+            code, out, err = run_cli(capsys, "table", "--schemes", spec, "--format", "json")
+            assert (code, out, err) == (2, "", f"error: scheme {token!r} given twice\n")
+
+    def test_empty_range_names_both_flags(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--m-min", "9", "--m-max", "4")
+        assert (code, out, err) == (2, "", "error: --m-min 9 is greater than --m-max 4\n")
+        # Against the default --m-max of 14.
+        code, out, err = run_cli(capsys, "table", "--m-min", "20")
+        assert (code, out, err) == (2, "", "error: --m-min 20 is greater than --m-max 14\n")
+
     def test_overflow_is_strict_json(self, capsys):
         def reject(token):
             raise ValueError(f"non-finite JSON constant {token}")

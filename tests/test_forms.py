@@ -241,6 +241,29 @@ class TestSupNormExact:
         with pytest.raises(BudgetExceededError):
             sup_norm_exact(MultilinearForm(LITTLEWOOD), budget_bits=1)
 
+    @pytest.mark.parametrize("m,n", [(1, 4), (2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
+    def test_pattern_table_max_is_exact_norm(self, m, n):
+        # The table behind the search walk: P = M.T @ S, norm = max_k sum_c |P[c, k]|.
+        products = forms._sign_products(m, n)
+        assert products.shape == (n ** (m - 1), 1 << ((m - 1) * (n - 1)))
+        rng = np.random.default_rng(500 * m + n)
+        for _ in range(5):
+            coeffs = sign_tensor(rng, m, n)
+            table = coeffs.reshape(-1, n).T @ products
+            assert np.abs(table).sum(axis=0).max() == forms._exact_norm(coeffs)
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (4, 2)])
+    def test_sign_products_are_the_pattern_products(self, m, n):
+        # Column k holds s1[i1] * ... * s(m-1)[i(m-1)] for pattern k, rows row-major.
+        half = [s for s in itertools.product((-1.0, 1.0), repeat=n) if s[0] == 1.0]
+        expected = {
+            tuple(math.prod(s[i] for s, i in zip(pattern, idx))
+                  for idx in itertools.product(range(n), repeat=m - 1))
+            for pattern in itertools.product(half, repeat=m - 1)
+        }
+        columns = set(map(tuple, forms._sign_products(m, n).T.tolist()))
+        assert columns == expected
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_half_sign_rows_cached_read_only(self, n):
         signs = forms._half_signs(n)

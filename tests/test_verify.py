@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bhbounds import verify
+from bhbounds import forms, verify
 from bhbounds.constants import SchemeId, constant
 from bhbounds.forms import MultilinearForm, bh_lhs, sup_norm_exact
 from bhbounds.khinchine import haagerup_crossover, khinchine_A, khinchine_A2r
@@ -245,6 +245,11 @@ class TestSearchExtremal:
         state = search_extremal(2, 1, restarts=2, iterations=10, seed=0)
         assert state.ratio == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("m,n", [(0, 2), (2, 0)])
+    def test_empty_shape_rejected(self, m, n):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            search_extremal(m, n)
+
     def test_m3_matches_exhaustive(self):
         state = search_extremal(3, 2, restarts=20, iterations=150, seed=5)
         best = max(
@@ -290,27 +295,66 @@ def _reference_walk(m, N, restarts, iterations, seed):
     return finals
 
 
+def _assert_same_as_reference(m, n, restarts, iterations, seed):
+    finals = _reference_walk(m, n, restarts, iterations, seed)
+    # The first restart with the largest ratio wins.
+    best_form, best_ratio = max(finals, key=lambda final: final[1])
+    state = search_extremal(m, n, restarts=restarts, iterations=iterations, seed=seed)
+    assert state.ratio == best_ratio
+    assert np.array_equal(state.tensor.coeffs, best_form.coeffs)
+    assert state.iterations == restarts * iterations
+    assert state.restarts == restarts
+
+
+def _count_walk_kernel_calls(monkeypatch):
+    """Record each exact-norm kernel call the walk makes itself."""
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs.shape)
+        return forms._exact_norm(coeffs)
+
+    monkeypatch.setattr(verify, "_exact_norm", counted)
+    return calls
+
+
+SEARCH_CASES = [
+    (1, 1, 2, 10, 0),
+    (1, 5, 3, 30, 2),
+    (2, 1, 2, 10, 0),
+    (2, 3, 3, 40, 7),
+    (3, 1, 2, 10, 3),
+    (3, 4, 3, 60, 2),
+    (4, 3, 3, 60, 4),
+    (5, 3, 2, 40, 5),
+    (6, 2, 2, 60, 6),
+    (3, 3, 4, 0, 1),
+]
+
+
 class TestSearchAgainstReference:
-    @pytest.mark.parametrize(
-        "m,n,restarts,iterations,seed",
-        [
-            (2, 1, 2, 10, 0),
-            (2, 3, 3, 40, 7),
-            (3, 4, 3, 60, 2),
-            (4, 3, 3, 60, 4),
-            (5, 3, 2, 40, 5),
-            (3, 3, 4, 0, 1),
-        ],
-    )
-    def test_same_walk(self, m, n, restarts, iterations, seed):
-        finals = _reference_walk(m, n, restarts, iterations, seed)
-        # The first restart with the largest ratio wins.
-        best_form, best_ratio = max(finals, key=lambda final: final[1])
-        state = search_extremal(m, n, restarts=restarts, iterations=iterations, seed=seed)
-        assert state.ratio == best_ratio
-        assert np.array_equal(state.tensor.coeffs, best_form.coeffs)
-        assert state.iterations == restarts * iterations
-        assert state.restarts == restarts
+    @pytest.mark.parametrize("m,n,restarts,iterations,seed", SEARCH_CASES)
+    def test_same_walk(self, monkeypatch, m, n, restarts, iterations, seed):
+        calls = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(m, n, restarts, iterations, seed)
+        # Every proposal was scored from the pattern table.
+        assert calls == []
+
+    @pytest.mark.parametrize("m,n,restarts,iterations,seed", SEARCH_CASES)
+    def test_same_walk_past_the_table_cap(self, monkeypatch, m, n, restarts, iterations, seed):
+        # With no room for the table every shape scores through the kernel.
+        monkeypatch.setattr(verify, "MAX_TENSOR_ENTRIES", 0)
+        calls = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(m, n, restarts, iterations, seed)
+        assert len(calls) == restarts * iterations
+
+    @pytest.mark.parametrize("n,kernel_calls", [(16, 0), (17, 8)])
+    def test_real_table_cap(self, monkeypatch, n, kernel_calls):
+        # At (2, 16) S and P hold 16 * 2^15 + 16 * 2^15 = 2^20 entries, exactly
+        # MAX_TENSOR_ENTRIES; (2, 17) needs 34 * 2^16 and takes the kernel path.
+        calls = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(2, n, 2, 4, 9)
+        assert len(calls) == kernel_calls
 
     def test_best_from_an_earlier_restart_is_kept(self):
         finals = _reference_walk(3, 3, 4, 10, 0)
