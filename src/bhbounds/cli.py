@@ -77,6 +77,10 @@ _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 # and 290 MB, and the cost grows with m.
 _TABLE_M_MAX = 100_000
 
+# Every table value and prefactor is at least 1, a double with at most 52
+# fractional bits, so its exact decimal expansion ends within 52 places.
+_PRECISION_MAX = 52
+
 
 def _parse_schemes(spec: str) -> tuple[SchemeId, ...]:
     schemes = []
@@ -251,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="m_max")
     p_table.add_argument("--schemes", default="new,cor52,classic")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_table.add_argument("--precision", type=_at_least(0), default=3)
+    p_table.add_argument("--precision", type=_at_least(0, at_most=_PRECISION_MAX), default=3)
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run verification suites")

@@ -10,10 +10,9 @@ slot collapses its maximization to an l1 sum, so the exact norm is
 Negating one slot's signs negates every value, which the outer abs
 undoes, so fixing s[0] = +1 in each slot leaves 2^((m-1)(N-1)) patterns
 to enumerate.  ``check_budget`` is the one place that decides whether a
-shape fits the bit budget, which still counts (m-1)*N bits (default 24,
-overridable through the BH_BUDGET_BITS environment variable); past it,
-``sup_norm_lower`` gives a certified-from-below estimate by alternating
-sign ascent.
+shape may be enumerated: its (m-1)*N sign bits must not exceed the fixed
+budget DEFAULT_BUDGET_BITS (24).  Past it, ``sup_norm_lower`` gives a
+certified-from-below estimate by alternating sign ascent.
 
 In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
 ``_sign_products`` (S[r, k] is the product of pattern k's signs at the
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -40,7 +38,6 @@ from .exponents import bh_exponent
 
 __all__ = [
     "DEFAULT_BUDGET_BITS",
-    "BUDGET_ENV_VAR",
     "MAX_TENSOR_ENTRIES",
     "BudgetExceededError",
     "check_budget",
@@ -60,34 +57,21 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET_BITS = 24
-BUDGET_ENV_VAR = "BH_BUDGET_BITS"
 MAX_TENSOR_ENTRIES = 1 << 20
 
 
 class BudgetExceededError(ValueError):
-    """Sign enumeration would exceed the configured bit budget."""
+    """Sign enumeration would exceed the bit budget."""
 
 
-def check_budget(m: int, N: int, budget_bits: Optional[int] = None) -> int:
-    """The exact-norm bit budget, once the (m, N) shape is known to fit it.
-
-    The budget is ``budget_bits`` when given, else BH_BUDGET_BITS, else
-    DEFAULT_BUDGET_BITS.  Raises BudgetExceededError when the (m-1)*N
-    sign bits of the shape exceed it.
-    """
-    budget = budget_bits
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_BUDGET_BITS))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
-        if budget < 1:
-            raise ValueError(f"{BUDGET_ENV_VAR} must be >= 1, got {budget}")
+def check_budget(m: int, N: int) -> None:
+    """Raise BudgetExceededError unless the (m-1)*N sign bits of an (m, N)
+    shape fit the budget of DEFAULT_BUDGET_BITS."""
     bits = (m - 1) * N
-    if bits > budget:
-        raise BudgetExceededError(f"(m-1)*N = {bits} sign bits exceed the budget of {budget}")
-    return budget
+    if bits > DEFAULT_BUDGET_BITS:
+        raise BudgetExceededError(
+            f"(m-1)*N = {bits} sign bits exceed the budget of {DEFAULT_BUDGET_BITS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -150,8 +134,11 @@ def to_interchange(form: MultilinearForm, seed: Optional[int] = None) -> dict:
 
 
 def from_interchange(doc: dict) -> MultilinearForm:
-    """Rebuild a form from an interchange document."""
-    return form_from_flat(int(doc["m"]), int(doc["N"]), doc["coeffs"])
+    """Rebuild a form from an interchange document; m and N must be ints."""
+    for field in ("m", "N"):
+        if type(doc[field]) is not int:  # not a float, bool or string
+            raise ValueError(f"interchange {field!r} must be an integer, got {doc[field]!r}")
+    return form_from_flat(doc["m"], doc["N"], doc["coeffs"])
 
 
 def dump_form(form: MultilinearForm, path: Union[str, Path], seed: Optional[int] = None) -> None:
@@ -243,14 +230,14 @@ def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int) -> float:
     return float(np.maximum.reduce(np.add.reduce(partial, axis=2), axis=None))
 
 
-def sup_norm_exact(form: MultilinearForm, budget_bits: Optional[int] = None) -> float:
+def sup_norm_exact(form: MultilinearForm) -> float:
     """Exact operator norm by sign enumeration over the first m-1 slots.
 
     Enumerates the 2^((m-1)(N-1)) patterns with s[0] = +1 in each slot.
-    Raises BudgetExceededError when the form's shape does not fit the bit
-    budget (see ``check_budget``); use ``sup_norm_lower`` there instead.
+    Raises BudgetExceededError when the form's shape does not fit the
+    24-bit budget of ``check_budget``; use ``sup_norm_lower`` there instead.
     """
-    check_budget(form.m, form.N, budget_bits)
+    check_budget(form.m, form.N)
     return _exact_norm(form.coeffs)
 
 
@@ -306,14 +293,14 @@ def bh_lhs(form: MultilinearForm) -> float:
     return float((np.abs(form.coeffs) ** p).sum() ** (1.0 / p))
 
 
-def bh_ratio(form: MultilinearForm, budget_bits: Optional[int] = None) -> float:
+def bh_ratio(form: MultilinearForm) -> float:
     """Coefficient norm over the exact operator norm.
 
     The result is a certified lower bound on the arity-m constant.
     """
     if not np.any(form.coeffs):
         raise ValueError("the zero form has no ratio")
-    return bh_lhs(form) / sup_norm_exact(form, budget_bits=budget_bits)
+    return bh_lhs(form) / sup_norm_exact(form)
 
 
 def weak_l1_norm(family: FamilyLike) -> float:

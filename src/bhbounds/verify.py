@@ -223,7 +223,9 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
 
 
 def rademacher_moment(a: Sequence[float], p: float) -> float:
-    """Exact (E |sum a_n r_n|^p)^(1/p) over the 2^N sign patterns."""
+    """Exact (E |sum a_n r_n|^p)^(1/p) over the 2^N sign patterns, p > 0."""
+    if not p > 0.0:
+        raise ValueError(f"p must be > 0, got {p}")
     sums = rademacher_sums(a)
     return float(np.mean(np.abs(sums) ** p) ** (1.0 / p))
 
@@ -389,7 +391,7 @@ def _per_trial(trial: Callable[[np.random.Generator, int], tuple]) -> Callable:
     return block
 
 
-def _bh_ratios(tensors: np.ndarray, budget: int) -> np.ndarray:
+def _bh_ratios(tensors: np.ndarray) -> np.ndarray:
     """``bh_lhs(T) / sup_norm_exact(T)`` for each T of a (B, N, ..., N) stack.
 
     One exact-norm call per tensor; the coefficient norms' power sums in
@@ -397,7 +399,7 @@ def _bh_ratios(tensors: np.ndarray, budget: int) -> np.ndarray:
     is taken on a Python float: an array power can differ by 1 ulp.
     """
     p = float(bh_exponent(tensors.ndim - 1))
-    norms = [sup_norm_exact(MultilinearForm(t), budget) for t in tensors]
+    norms = [sup_norm_exact(MultilinearForm(t)) for t in tensors]
     powers = np.abs(tensors.reshape(len(tensors), -1))
     powers **= p
     sums = powers.sum(axis=1)
@@ -423,14 +425,14 @@ def run_bh_trials(
     half standard normal entries.  Each ratio is certified by the exact
     norm; a shape past the bit budget is rejected before any draw.
     """
-    budget = check_budget(m, N)
+    check_budget(m, N)
     bound = constant(scheme, m).value
 
     def block(indices, rngs):
         tensors = np.empty((len(indices),) + (N,) * m)
         for j, (i, rng) in enumerate(zip(indices, rngs)):
             tensors[j] = _draw_tensor(rng, m, N, sign_entries=i % 2 == 0)
-        ratios = _bh_ratios(tensors, budget)
+        ratios = _bh_ratios(tensors)
         # Negated '>' so that a NaN ratio is not counted as a failure.
         holds = ~(ratios > bound * (1.0 + REL_SLACK))
         return bound - ratios, ratios, holds, lambda j: MultilinearForm(tensors[j])
@@ -454,7 +456,7 @@ def check_multiple_summing(
     bound reduces to constant(scheme, m) times the exact operator norm.
     A shape past the bit budget is rejected before any draw.
     """
-    budget = check_budget(m, N)
+    check_budget(m, N)
     p = float(bh_exponent(m))
     bound = constant(scheme, m).value
 
@@ -465,7 +467,7 @@ def check_multiple_summing(
             mat = rng.standard_normal((J, N))
             families.append(mat / weak_l1_norm(mat))
         lhs = multiple_summing_lhs(form, families, p)
-        ratio = lhs / sup_norm_exact(form, budget)
+        ratio = lhs / sup_norm_exact(form)
         return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
 
     return _run("summing", count, seed, _per_trial(trial), failure_dir)
@@ -479,94 +481,96 @@ def search_extremal(
     Each restart draws a +-1 tensor and walks it: a proposal flips one
     random entry and is kept only if it strictly raises the ratio.  Every
     entry stays +-1, so the coefficient norm ``bh_lhs`` is the same for
-    the whole walk and only the exact norm changes.
+    every tensor of the search, and a proposal raises the ratio exactly
+    when it lowers the exact norm, an integer of at most N^m <= 2^20, so
+    comparing norms decides every ratio comparison as the floats would.
 
     The norm is max_k R[k] over the pattern table P = M.T @ S, where
     M = tensor.reshape(-1, N), S holds the sign products of
     ``forms._sign_products`` and R = sum_c |P[c]|.  The search builds S
     once, and each restart builds P, |P| and R.  Flipping the entry ``old``
     at row r, column c of M moves only P[c], by -2*old*S[r], so a proposal
-    scores lhs / max(R - |P[c]| + |P[c] - 2*old*S[r]|) and writes nothing;
-    an accepted one writes the sign, P[c], |P[c]| and R.  Every sum is an
-    integer below 2^53, so each score equals ``lhs / _exact_norm(tensor)``
-    bit for bit.  Where S and P together would hold more than
+    scores max(R - |P[c]| + |P[c] - 2*old*S[r]|) and writes nothing; an
+    accepted one writes the sign, P[c], |P[c]| and R.  Every sum is an
+    integer below 2^53, so each score equals ``_exact_norm(tensor)`` bit
+    for bit.  Where S and P together would hold more than
     MAX_TENSOR_ENTRIES entries, each proposal instead flips its entry in
     place, is scored through the kernel and is flipped back if rejected.
 
-    The shape never changes, so one budget check covers every proposal; a
-    shape past the bit budget is rejected before any draw.  Deterministic
-    given the seed.
+    The first restart to reach the smallest norm wins, and one
+    ``sup_norm_exact`` call per search certifies its ratio.  One budget
+    check, before any draw, covers every proposal.  Deterministic given
+    the seed.
     """
     if m < 1 or N < 1:
         raise ValueError(f"m and N must be >= 1, got m={m}, N={N}")
     if not 1 <= restarts <= _MAX_TRIALS or iterations < 0:
         raise ValueError("restarts must be in [1, 2^32] and iterations >= 0")
-    budget = check_budget(m, N)
+    check_budget(m, N)
     products = None
     # S has N^(m-1) rows and P has N, each one entry per enumerated pattern.
     if (N ** (m - 1) + N) << ((m - 1) * (N - 1)) <= MAX_TENSOR_ENTRIES:
         products = _sign_products(m, N)
-    best_signs, best_ratio = None, -np.inf
+    best_signs, best_norm = None, np.inf
     for rng in _trial_rngs(seed, restarts):
         signs = _draw_tensor(rng, m, N, sign_entries=True)
-        form = MultilinearForm(signs)
-        lhs = bh_lhs(form)
-        ratio = lhs / sup_norm_exact(form, budget)
         if products is None:
-            ratio = _walk_by_kernel(signs, lhs, ratio, rng, iterations)
+            start = sup_norm_exact(MultilinearForm(signs))
+            norm = _walk_by_kernel(signs, start, rng, iterations)
         else:
-            ratio = _walk_by_table(signs, products, lhs, ratio, rng, iterations)
-        if ratio > best_ratio:
+            norm = _walk_by_table(signs, products, rng, iterations)
+        if norm < best_norm:
             # Each restart draws a new array, so this one is never flipped again.
-            best_signs, best_ratio = signs, ratio
+            best_signs, best_norm = signs, norm
+    best = MultilinearForm(best_signs)
     return SearchState(
-        tensor=MultilinearForm(best_signs),
-        ratio=float(best_ratio),
+        tensor=best,
+        ratio=bh_lhs(best) / sup_norm_exact(best),
         iterations=restarts * iterations,
         restarts=restarts,
     )
 
 
 def _walk_by_table(
-    signs: np.ndarray, products: np.ndarray, lhs: float, ratio: float,
-    rng: np.random.Generator, iterations: int,
+    signs: np.ndarray, products: np.ndarray, rng: np.random.Generator, iterations: int
 ) -> float:
-    """Walk ``signs`` in place, scoring proposals from the pattern table."""
+    """Walk ``signs`` in place, scoring proposals from the pattern table; returns its norm."""
     m, n = signs.ndim, signs.shape[0]
     rows = signs.reshape(-1, n)
     sums = rows.T @ products
     mags = np.abs(sums)
     totals = mags.sum(axis=0)
+    norm = float(np.maximum.reduce(totals))
     place = n ** np.arange(m - 1, -1, -1)
     for _ in range(iterations):
         r, c = divmod(int(rng.integers(0, n, size=m) @ place), n)
         old = rows[r, c]
         column = sums[c] - (2.0 * old) * products[r]
         mag = np.abs(column)
-        candidate = lhs / float(np.maximum.reduce(totals - mags[c] + mag))
-        if candidate > ratio:
-            ratio = candidate
+        candidate = float(np.maximum.reduce(totals - mags[c] + mag))
+        if candidate < norm:
+            norm = candidate
             rows[r, c] = -old
             sums[c] = column
             totals += mag - mags[c]
             mags[c] = mag
-    return ratio
+    return norm
 
 
 def _walk_by_kernel(
-    signs: np.ndarray, lhs: float, ratio: float, rng: np.random.Generator, iterations: int
+    signs: np.ndarray, norm: float, rng: np.random.Generator, iterations: int
 ) -> float:
-    """Walk ``signs`` in place, scoring proposals through the exact-norm kernel."""
+    """Walk ``signs`` in place from its exact ``norm`` through the kernel; returns its norm."""
     m, n = signs.ndim, signs.shape[0]
     for _ in range(iterations):
         idx = tuple(rng.integers(0, n, size=m))
         signs[idx] = -signs[idx]
-        candidate = lhs / _exact_norm(signs)
-        if candidate > ratio:
-            ratio = candidate
+        candidate = _exact_norm(signs)
+        if candidate < norm:
+            norm = candidate
         else:
             signs[idx] = -signs[idx]
-    return ratio
+    return norm
 
 
 def run_khinchine_suite(

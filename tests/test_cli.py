@@ -305,6 +305,7 @@ class TestUsage:
             ("--m-max", "1"): "must be >= 2, got 1",
             ("--m-max", "100001"): "must be <= 100000, got 100001",
             ("--precision", "-1"): "must be >= 0, got -1",
+            ("--precision", "53"): "must be <= 52, got 53",
         }
         for (flag, value), message in past.items():
             code, out, err = run_cli(capsys, "table", flag, value)

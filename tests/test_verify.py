@@ -45,6 +45,11 @@ class TestRademacherSums:
         with pytest.raises(ValueError):
             rademacher_sums(np.ones(21))
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, -0.5, math.nan])
+    def test_moment_rejects_nonpositive_p(self, p):
+        with pytest.raises(ValueError, match="p must be > 0"):
+            rademacher_moment([1.0, 2.0], p)
+
 
 class TestCheckKhinchine:
     def test_equality_witness(self):
@@ -495,7 +500,7 @@ class TestBlockedBhRatios:
         signs = rng.integers(0, 2, size=(500,) + (n,) * m) * 2.0 - 1.0
         gaussian = rng.standard_normal((500,) + (n,) * m)
         for tensors in (signs, gaussian):
-            ratios = verify._bh_ratios(tensors, 24)
+            ratios = verify._bh_ratios(tensors)
             expected = []
             for t in tensors:
                 form = MultilinearForm(t)
@@ -528,7 +533,7 @@ class TestBlockedBhRatios:
         # The stacked draws are under test, not the kernel: a cheap norm
         # keeps the 3000 (4,6) trials fast.
         monkeypatch.setattr(
-            verify, "sup_norm_exact", lambda form, budget: float(np.abs(form.coeffs).sum())
+            verify, "sup_norm_exact", lambda form: float(np.abs(form.coeffs).sum())
         )
         tracemalloc.start()
         try:
