@@ -125,61 +125,59 @@ def _exact_pair(exact: Optional[Fraction]) -> Optional[list[int]]:
     return [exact.numerator, exact.denominator]
 
 
-def _table_lines(tab: ConstantsTable) -> list[list[str]]:
+def _table_lines(tab: ConstantsTable, precision: int) -> list[list[str]]:
     """Header and rows of cells; an overflowed value reads 2^<log2_value>."""
 
     def cell(cons: Log2Constant) -> str:
         if math.isfinite(cons.value):
-            return _fmt(cons.value, tab.precision)
-        return "2^" + _fmt(cons.log2_value, tab.precision)
+            return _fmt(cons.value, precision)
+        return "2^" + _fmt(cons.log2_value, precision)
 
     header = ["m"] + [s.value for s in tab.schemes]
     return [header] + [[str(m)] + [cell(c) for c in row] for m, row in tab.rows]
 
 
-def _render_table_text(tab: ConstantsTable) -> str:
-    lines = _table_lines(tab)
+def _render_table_text(tab: ConstantsTable, precision: int) -> str:
+    lines = _table_lines(tab, precision)
     widths = [max(len(cells[i]) for cells in lines) for i in range(len(lines[0]))]
     return "\n".join("  ".join(v.rjust(w) for v, w in zip(cells, widths)) for cells in lines)
 
 
-def _render_table_csv(tab: ConstantsTable) -> str:
-    return "\n".join(",".join(cells) for cells in _table_lines(tab))
+def _render_table_csv(tab: ConstantsTable, precision: int) -> str:
+    return "\n".join(",".join(cells) for cells in _table_lines(tab, precision))
 
 
-def _render_table_json(tab: ConstantsTable) -> str:
+def _render_table_json(tab: ConstantsTable, precision: int) -> str:
     rows = []
     for m, row in tab.rows:
         values = {}
         for scheme, cons in zip(tab.schemes, row):
             if math.isfinite(cons.value):
-                entry = {"value": float(_fmt(cons.value, tab.precision))}
+                entry = {"value": float(_fmt(cons.value, precision))}
             else:
                 entry = {"value": None, "log2": cons.log2_value}
             entry["exact_log2"] = _exact_pair(cons.exact_exponent)
             if cons.prefactor is not None:
-                entry["prefactor"] = float(_fmt(cons.prefactor, tab.precision))
+                entry["prefactor"] = float(_fmt(cons.prefactor, precision))
             values[scheme.value] = entry
         rows.append({"m": m, "values": values})
-    doc = {
-        "schemes": [s.value for s in tab.schemes],
-        "precision": tab.precision,
-        "rows": rows,
-    }
+    doc = {"schemes": [s.value for s in tab.schemes], "precision": precision, "rows": rows}
     return json.dumps(doc, allow_nan=False)
+
+
+_TABLE_RENDERERS = {
+    "text": _render_table_text,
+    "csv": _render_table_csv,
+    "json": _render_table_json,
+}
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     schemes = _parse_schemes(args.schemes)
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} is greater than --m-max {args.m_max}")
-    tab = table(args.m_min, args.m_max, schemes, precision=args.precision)
-    if args.format == "text":
-        print(_render_table_text(tab))
-    elif args.format == "csv":
-        print(_render_table_csv(tab))
-    else:
-        print(_render_table_json(tab))
+    tab = table(args.m_min, args.m_max, schemes)
+    print(_TABLE_RENDERERS[args.format](tab, args.precision))
     return 0
 
 
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--m-max", type=_at_least(2, at_most=_TABLE_M_MAX), default=14,
                          dest="m_max")
     p_table.add_argument("--schemes", default="new,cor52,classic")
-    p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    p_table.add_argument("--format", choices=tuple(_TABLE_RENDERERS), default="text")
     p_table.add_argument("--precision", type=_at_least(0, at_most=_PRECISION_MAX), default=3)
     p_table.set_defaults(func=cmd_table)
 

@@ -70,12 +70,10 @@ _LOG2_DSP_STEP = math.log2(2.0 / math.sqrt(math.pi))
 
 @dataclass(frozen=True)
 class Log2Constant:
-    """One scheme constant, held primarily as a log2 exponent.
+    """One scheme constant, held as a log2 exponent.
 
-    ``value`` is 2**log2_value (times ``prefactor`` when present, already
-    folded in) and overflows to ``inf`` for very large m; downstream ratio
-    work should use ``log2_value``.  ``exact_exponent`` is populated when
-    the whole recurrence path was power-of-two exact, in which case
+    ``exact_exponent`` is populated when the whole recurrence path was
+    power-of-two exact, in which case
 
         |value - 2**exact_exponent * prefactor| <= 1e-13 relative
 
@@ -84,10 +82,24 @@ class Log2Constant:
 
     scheme: SchemeId
     m: int
-    value: float
     log2_value: float
     exact_exponent: Optional[Fraction] = None
-    prefactor: Optional[float] = None
+
+    @property
+    def value(self) -> float:
+        """2**log2_value (``prefactor`` folded in); ``inf`` where that
+        overflows, so ratio work should use ``log2_value``."""
+        try:
+            return 2.0 ** self.log2_value
+        except OverflowError:
+            return math.inf
+
+    @property
+    def prefactor(self) -> Optional[float]:
+        """K_G^(2/m) for COR52_COMPLEX, the factor ``exact_exponent`` omits."""
+        if self.scheme is SchemeId.COR52_COMPLEX:
+            return K_GROTHENDIECK ** (2.0 / self.m)
+        return None
 
 
 @dataclass(frozen=True)
@@ -96,16 +108,6 @@ class ConstantsTable:
 
     schemes: tuple[SchemeId, ...]
     rows: tuple[tuple[int, tuple[Log2Constant, ...]], ...]
-    precision: int = 3
-
-
-# (scheme, m) -> (exact rational log2 part or None, float log2 value).
-# For COR52_COMPLEX the float includes the K_G^(2/m) contribution while the
-# exact part tracks only the dyadic exponent.
-_cache: dict[tuple[SchemeId, int], tuple[Optional[Fraction], float]] = {}
-# Highest m filled per recurrence chain: (scheme, m mod the chain's stride).
-_frontier: dict[tuple[SchemeId, int], int] = {}
-_cache_lock = threading.Lock()
 
 
 def _log2_A(p: Fraction) -> tuple[Optional[Fraction], float]:
@@ -125,38 +127,21 @@ def _new_step(k: int) -> tuple[Fraction, Fraction, Fraction]:
     return Fraction(2 * k - 4, k - 1), Fraction(1, 2), Fraction(k - 2, k)
 
 
-# scheme -> (stride in m, exact log2 bases by m, k -> (p, step, weight),
+# scheme -> (exact log2 bases at m = 2, 3, ..., k -> (p, step, weight),
 # power of A on exact steps, log2 K_G of the K_G^(2/m) factor that only the
-# float carries).  Each step is
+# float carries).  The number of bases is the stride: each step is
 #     log2 C_k = step + weight * (log2 C_{k-stride} - power * log2 A_p).
 _CHAINS = {
-    SchemeId.COR52_REAL: (1, {2: Fraction(1, 2)}, _cor52_step, 1, 0.0),
-    SchemeId.COR52_COMPLEX: (1, {2: Fraction(0)}, _cor52_step, 1, _LOG2_KG),
-    SchemeId.NEW_REAL: (2, {2: Fraction(1, 2), 3: Fraction(5, 6)}, _new_step, 2, 0.0),
+    SchemeId.COR52_REAL: ((Fraction(1, 2),), _cor52_step, 1, 0.0),
+    SchemeId.COR52_COMPLEX: ((Fraction(0),), _cor52_step, 1, _LOG2_KG),
+    SchemeId.NEW_REAL: ((Fraction(1, 2), Fraction(5, 6)), _new_step, 2, 0.0),
 }
 
-
-def _fill(scheme: SchemeId, m: int) -> None:
-    stride, bases, step_at, a_power, log2_kg = _CHAINS[scheme]
-    chain = (scheme, m % stride)
-    start = _frontier.get(chain)
-    if start is None:
-        start = next(b for b in bases if b % stride == m % stride)
-        base = bases[start]
-        _cache[(scheme, start)] = (base, float(base) + 2.0 / start * log2_kg)
-    exact, log2v = _cache[(scheme, start)]
-    for k in range(start + stride, m + 1, stride):
-        p, step, weight = step_at(k)
-        exact_a, log2_a = _log2_A(p)
-        if exact is not None and exact_a is not None:
-            exact = step + weight * (exact - a_power * exact_a)
-            log2v = float(exact) + 2.0 / k * log2_kg
-        else:
-            # Gamma-branch steps divide by A^2 in every chain.
-            exact = None
-            log2v = float(step) + float(weight) * (log2v - 2.0 * log2_a)
-        _cache[(scheme, k)] = (exact, log2v)
-    _frontier[chain] = max(start, m)
+# (scheme, first m) -> (exact rational log2 part or None, float log2 value)
+# at m = first, first + stride, ...  For COR52_COMPLEX the float includes the
+# K_G^(2/m) contribution while the exact part tracks only the dyadic exponent.
+_chains: dict[tuple[SchemeId, int], list[tuple[Optional[Fraction], float]]] = {}
+_cache_lock = threading.Lock()
 
 
 def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
@@ -167,35 +152,34 @@ def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
         return exact, float(exact)
     if scheme is SchemeId.DSP_COMPLEX:
         return None, (m - 1) * _LOG2_DSP_STEP
-    key = (scheme, m)
-    if key not in _cache:
-        with _cache_lock:
-            if key not in _cache:
-                _fill(scheme, m)
-    return _cache[key]
-
-
-def _pow2(log2v: float) -> float:
-    try:
-        return 2.0 ** log2v
-    except OverflowError:
-        return math.inf
+    bases, step_at, a_power, log2_kg = _CHAINS[scheme]
+    stride = len(bases)
+    first = 2 + (m - 2) % stride
+    with _cache_lock:
+        chain = _chains.setdefault((scheme, first), [])
+        if not chain:
+            base = bases[first - 2]
+            chain.append((base, float(base) + 2.0 / first * log2_kg))
+        exact, log2v = chain[-1]
+        for k in range(first + stride * len(chain), m + 1, stride):
+            p, step, weight = step_at(k)
+            exact_a, log2_a = _log2_A(p)
+            if exact is not None and exact_a is not None:
+                exact = step + weight * (exact - a_power * exact_a)
+                log2v = float(exact) + 2.0 / k * log2_kg
+            else:
+                # Gamma-branch steps divide by A^2 in every chain.  Fraction
+                # arithmetic with a float converts the Fraction to float first.
+                exact = None
+                log2v = step + weight * (log2v - 2.0 * log2_a)
+            chain.append((exact, log2v))
+        return chain[(m - first) // stride]
 
 
 def constant(scheme: SchemeId, m: int) -> Log2Constant:
     """The scheme's constant at arity m >= 2, recurrences memoized."""
     exact, log2v = _log2_parts(scheme, m)
-    prefactor = None
-    if scheme is SchemeId.COR52_COMPLEX:
-        prefactor = K_GROTHENDIECK ** (2.0 / m)
-    return Log2Constant(
-        scheme=scheme,
-        m=m,
-        value=_pow2(log2v),
-        log2_value=log2v,
-        exact_exponent=exact,
-        prefactor=prefactor,
-    )
+    return Log2Constant(scheme, m, log2v, exact)
 
 
 def closed_form_new(m: int) -> Log2Constant:
@@ -208,13 +192,7 @@ def closed_form_new(m: int) -> Log2Constant:
         raise ValueError(f"closed_form_new is valid for 2 <= m <= 14, got m={m}")
     numerator = m * m + 6 * m - 8 if m % 2 == 0 else m * m + 6 * m - 7
     exact = Fraction(numerator, 8 * m)
-    return Log2Constant(
-        scheme=SchemeId.NEW_REAL,
-        m=m,
-        value=2.0 ** float(exact),
-        log2_value=float(exact),
-        exact_exponent=exact,
-    )
+    return Log2Constant(SchemeId.NEW_REAL, m, float(exact), exact)
 
 
 def closed_form_cor52(m: int, field: str = "real") -> Log2Constant:
@@ -226,25 +204,11 @@ def closed_form_cor52(m: int, field: str = "real") -> Log2Constant:
         raise ValueError(f"closed_form_cor52 is valid for 2 <= m <= 13, got m={m}")
     if field == "real":
         exact = Fraction(m * m + m - 2, 4 * m)
-        return Log2Constant(
-            scheme=SchemeId.COR52_REAL,
-            m=m,
-            value=2.0 ** float(exact),
-            log2_value=float(exact),
-            exact_exponent=exact,
-        )
+        return Log2Constant(SchemeId.COR52_REAL, m, float(exact), exact)
     if field == "complex":
         exact = Fraction(m * m + m - 6, 4 * m)
-        prefactor = K_GROTHENDIECK ** (2.0 / m)
         log2v = float(exact) + 2.0 / m * _LOG2_KG
-        return Log2Constant(
-            scheme=SchemeId.COR52_COMPLEX,
-            m=m,
-            value=_pow2(log2v),
-            log2_value=log2v,
-            exact_exponent=exact,
-            prefactor=prefactor,
-        )
+        return Log2Constant(SchemeId.COR52_COMPLEX, m, log2v, exact)
     raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
 
 
@@ -255,22 +219,19 @@ def table(
     m_min: int = 3,
     m_max: int = 14,
     schemes: Sequence[SchemeId] = _DEFAULT_SCHEMES,
-    precision: int = 3,
 ) -> ConstantsTable:
     """Comparison table of the requested schemes over m_min..m_max."""
     if m_min < 2:
         raise ValueError(f"table rows start at m = 2, got m_min={m_min}")
     if m_max < m_min:
         raise ValueError(f"empty range: m_min={m_min} > m_max={m_max}")
-    if precision < 0:
-        raise ValueError(f"precision must be >= 0, got {precision}")
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("at least one scheme is required")
     rows = tuple(
         (m, tuple(constant(s, m) for s in schemes)) for m in range(m_min, m_max + 1)
     )
-    return ConstantsTable(schemes=schemes, rows=rows, precision=precision)
+    return ConstantsTable(schemes=schemes, rows=rows)
 
 
 def asymptotic_ratio(scheme: SchemeId, m: int) -> float:

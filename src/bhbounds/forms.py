@@ -10,9 +10,11 @@ slot collapses its maximization to an l1 sum, so the exact norm is
 Negating one slot's signs negates every value, which the outer abs
 undoes, so fixing s[0] = +1 in each slot leaves 2^((m-1)(N-1)) patterns
 to enumerate.  ``check_budget`` is the one place that decides whether a
-shape may be enumerated: its (m-1)*N sign bits must not exceed the fixed
-budget DEFAULT_BUDGET_BITS (24).  Past it, ``sup_norm_lower`` gives a
-certified-from-below estimate by alternating sign ascent.
+shape may be enumerated: those (m-1)*(N-1) sign bits must not exceed the
+fixed budget DEFAULT_BUDGET_BITS (24), m must not exceed 31, and its N^m
+entries must not exceed MAX_TENSOR_ENTRIES (2^20).  Past them,
+``sup_norm_lower`` gives a certified-from-below estimate by alternating
+sign ascent.
 
 In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
 ``_sign_products`` (S[r, k] is the product of pattern k's signs at the
@@ -58,6 +60,8 @@ __all__ = [
 
 DEFAULT_BUDGET_BITS = 24
 MAX_TENSOR_ENTRIES = 1 << 20
+# numpy 1.x arrays have at most 32 axes, and a block of trials adds one.
+_MAX_ARITY = 31
 
 
 class BudgetExceededError(ValueError):
@@ -65,12 +69,23 @@ class BudgetExceededError(ValueError):
 
 
 def check_budget(m: int, N: int) -> None:
-    """Raise BudgetExceededError unless the (m-1)*N sign bits of an (m, N)
-    shape fit the budget of DEFAULT_BUDGET_BITS."""
-    bits = (m - 1) * N
+    """Raise BudgetExceededError unless an (m, N) shape may be enumerated.
+
+    The (m-1)*(N-1) sign bits of the patterns the kernel visits must fit
+    DEFAULT_BUDGET_BITS, m must be at most 31 (at N = 1 the bits alone
+    would admit any m), and the N^m entries of its tensor must fit
+    MAX_TENSOR_ENTRIES, so a shape is rejected before any tensor is drawn.
+    """
+    bits = (m - 1) * (N - 1)
     if bits > DEFAULT_BUDGET_BITS:
         raise BudgetExceededError(
-            f"(m-1)*N = {bits} sign bits exceed the budget of {DEFAULT_BUDGET_BITS}"
+            f"(m-1)*(N-1) = {bits} sign bits exceed the budget of {DEFAULT_BUDGET_BITS}"
+        )
+    if m > _MAX_ARITY:
+        raise BudgetExceededError(f"m = {m} exceeds the arity cap of {_MAX_ARITY}")
+    if N**m > MAX_TENSOR_ENTRIES:
+        raise BudgetExceededError(
+            f"N^m = {N**m} entries exceed the cap of {MAX_TENSOR_ENTRIES}"
         )
 
 
@@ -120,6 +135,8 @@ def _family_matrix(family: FamilyLike) -> np.ndarray:
 def form_from_flat(m: int, N: int, flat: Sequence[float]) -> MultilinearForm:
     """Build a form from a row-major flat coefficient list."""
     arr = np.asarray(flat, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"coefficients must be flat, got shape {arr.shape}")
     if arr.size != N**m:
         raise ValueError(f"expected {N**m} coefficients for m={m}, N={N}, got {arr.size}")
     return MultilinearForm(arr.reshape((N,) * m))
@@ -134,11 +151,16 @@ def to_interchange(form: MultilinearForm, seed: Optional[int] = None) -> dict:
 
 
 def from_interchange(doc: dict) -> MultilinearForm:
-    """Rebuild a form from an interchange document; m and N must be ints."""
+    """Rebuild a form from an interchange document; m and N must be ints,
+    coeffs a flat list of ints and floats."""
     for field in ("m", "N"):
         if type(doc[field]) is not int:  # not a float, bool or string
             raise ValueError(f"interchange {field!r} must be an integer, got {doc[field]!r}")
-    return form_from_flat(doc["m"], doc["N"], doc["coeffs"])
+    coeffs = doc["coeffs"]
+    # Not a bool, string or nested list.
+    if type(coeffs) is not list or any(type(c) not in (int, float) for c in coeffs):
+        raise ValueError("interchange 'coeffs' must be a flat list of numbers")
+    return form_from_flat(doc["m"], doc["N"], coeffs)
 
 
 def dump_form(form: MultilinearForm, path: Union[str, Path], seed: Optional[int] = None) -> None:

@@ -28,7 +28,9 @@ import numpy as np
 from .constants import SchemeId, constant
 from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
+    DEFAULT_BUDGET_BITS,
     MAX_TENSOR_ENTRIES,
+    BudgetExceededError,
     MultilinearForm,
     _exact_norm,
     _sign_products,
@@ -454,9 +456,15 @@ def check_multiple_summing(
 
     Families are drawn Gaussian and divided by their weak-l1 norm, so the
     bound reduces to constant(scheme, m) times the exact operator norm.
-    A shape past the bit budget is rejected before any draw.
+    A shape past the bit budget, or with more than 2^DEFAULT_BUDGET_BITS
+    family tuples J^m (each trial holds all their values at once), is
+    rejected before any draw.
     """
     check_budget(m, N)
+    if J**m > 1 << DEFAULT_BUDGET_BITS:
+        raise BudgetExceededError(
+            f"J^m = {J}^{m} family tuples exceed the cap of {1 << DEFAULT_BUDGET_BITS}"
+        )
     p = float(bh_exponent(m))
     bound = constant(scheme, m).value
 

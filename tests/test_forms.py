@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhbounds import forms
 from bhbounds.constants import SchemeId, constant
@@ -118,6 +119,10 @@ class TestInterchange:
         assert json.loads(path.read_text())["coeffs"] == [1.0, 1.0, 1.0, -1.0]
         assert np.array_equal(load_form(path).coeffs, form.coeffs)
 
+    def test_flat_coefficients_only(self):
+        with pytest.raises(ValueError, match="must be flat"):
+            form_from_flat(2, 2, np.ones((2, 2)))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             from_interchange({"m": 2, "N": 2, "coeffs": [1.0, 2.0, 3.0]})
@@ -130,6 +135,13 @@ class TestInterchange:
             ("m", {"m": "2", "N": 2, "coeffs": [1.0] * 4}),
         ]:
             with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+                from_interchange(doc)
+        # coeffs must be a flat list of numbers: no strings, bools or rows.
+        for doc in [
+            {"m": 1, "N": 2, "coeffs": ["1", True]},
+            {"m": 2, "N": 2, "coeffs": [[1, 2], [3, 4]]},
+        ]:
+            with pytest.raises(ValueError, match="'coeffs'"):
                 from_interchange(doc)
 
 
@@ -235,7 +247,7 @@ class TestSupNormExact:
         assert sup_norm_exact(MultilinearForm(np.zeros((n,) * m))) == 0.0
 
     def test_budget_error(self):
-        big = MultilinearForm(np.zeros((7,) * 5))  # 28 sign bits
+        big = MultilinearForm(np.zeros((8,) * 5))  # 28 sign bits
         with pytest.raises(BudgetExceededError):
             sup_norm_exact(big)
 
@@ -274,14 +286,61 @@ class TestSupNormExact:
 
 class TestCheckBudget:
     def test_default_boundary(self, monkeypatch):
-        check_budget(4, 8)  # (m-1)*N == budget fits
-        message = r"^\(m-1\)\*N = 27 sign bits exceed the budget of 24$"
+        check_budget(4, 9)  # (m-1)*(N-1) == budget fits
+        message = r"^\(m-1\)\*\(N-1\) = 27 sign bits exceed the budget of 24$"
         with pytest.raises(BudgetExceededError, match=message):
-            check_budget(4, 9)
+            check_budget(4, 10)
         # The budget is fixed: the environment no longer widens it.
         monkeypatch.setenv("BH_BUDGET_BITS", "40")
         with pytest.raises(BudgetExceededError, match="exceed the budget of 24$"):
             check_budget(5, 8)
+
+    def test_caps_inside_the_bit_budget(self):
+        # Inside the sign-bit budget, m <= 31 and N^m <= MAX_TENSOR_ENTRIES still hold.
+        for m, n in [(31, 1), (20, 2), (12, 3), (1, 1 << 20)]:
+            check_budget(m, n)
+        with pytest.raises(BudgetExceededError, match=r"^m = 32 exceeds the arity cap of 31$"):
+            check_budget(32, 1)
+        for m, n, entries in [(21, 2, 2097152), (13, 3, 1594323), (1, (1 << 20) + 1, 1048577)]:
+            message = rf"^N\^m = {entries} entries exceed the cap of 1048576$"
+            with pytest.raises(BudgetExceededError, match=message):
+                check_budget(m, n)
+
+
+@st.composite
+def small_integer_forms(draw):
+    """Integer tensors in [-3, 3] at m, N <= 3: every norm is computed exactly."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.integers(-3, 3), min_size=n**m, max_size=n**m))
+    return np.array(flat, dtype=float).reshape((n,) * m)
+
+
+class TestSupNormExactProperties:
+    @settings(deadline=None)
+    @given(coeffs=small_integer_forms(), data=st.data())
+    def test_coordinate_and_slot_permutations(self, coeffs, data):
+        m, n = coeffs.ndim, coeffs.shape[0]
+        norm = sup_norm_exact(MultilinearForm(coeffs))
+        permuted = coeffs
+        for axis in range(m):
+            order = data.draw(st.permutations(range(n)))
+            permuted = np.take(permuted, order, axis=axis)
+        assert sup_norm_exact(MultilinearForm(permuted)) == norm
+        slots = data.draw(st.permutations(range(m)))
+        assert sup_norm_exact(MultilinearForm(np.transpose(permuted, slots))) == norm
+
+    @settings(deadline=None)
+    @given(coeffs=small_integer_forms(), c=st.integers(-3, 3))
+    def test_homogeneity(self, coeffs, c):
+        norm = sup_norm_exact(MultilinearForm(coeffs))
+        assert sup_norm_exact(MultilinearForm(c * coeffs)) == abs(c) * norm
+
+    @settings(deadline=None)
+    @given(coeffs=small_integer_forms(), seed=st.integers(0, 2**32 - 1))
+    def test_lower_never_exceeds_exact(self, coeffs, seed):
+        form = MultilinearForm(coeffs)
+        assert sup_norm_lower(form, restarts=2, seed=seed) <= sup_norm_exact(form)
 
 
 class TestSupNormLower:

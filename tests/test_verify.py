@@ -399,6 +399,22 @@ class TestBudgetBeforeDraw:
         with pytest.raises(BudgetExceededError):
             search_extremal(5, 8)
 
+    @pytest.mark.parametrize(
+        "m,n,cap", [(21, 2, "entries exceed"), (13, 3, "entries exceed"), (10**7, 1, "arity")]
+    )
+    def test_caps_inside_the_bit_budget(self, m, n, cap):
+        # Within the sign-bit budget, but over MAX_TENSOR_ENTRIES entries or the arity cap.
+        with pytest.raises(BudgetExceededError, match=cap):
+            run_bh_trials(m, n, 1, seed=0)
+        with pytest.raises(BudgetExceededError, match=cap):
+            check_multiple_summing(m, n, 1, 1, seed=0)
+        with pytest.raises(BudgetExceededError, match=cap):
+            search_extremal(m, n)
+
+    def test_summing_family_tuples(self):
+        with pytest.raises(BudgetExceededError, match=r"^J\^m = 4097\^2 family tuples"):
+            check_multiple_summing(2, 2, 4097, 1, seed=0)
+
 
 class TestCheckMultipleSumming:
     def test_zero_failures_default(self):
