@@ -69,7 +69,8 @@ REL_SLACK = 1e-10
 #: Exact expectations enumerate at most 2^20 sign patterns.
 EXPECTATION_MAX_BITS = 20
 
-# Trial indices seeded per vectorized SeedSequence pass.
+# Trial indices seeded per vectorized SeedSequence pass, and search
+# proposals drawn per ``integers`` call.
 _SEED_BLOCK = 1 << 12
 
 # A bh block holds at most this many coefficients (but at least one tensor)
@@ -507,8 +508,10 @@ def search_extremal(
 
     The first restart to reach the smallest norm wins, and one
     ``sup_norm_exact`` call per search certifies its ratio.  One budget
-    check, before any draw, covers every proposal.  Deterministic given
-    the seed.
+    check, before any draw, covers every proposal.  Proposal cells are
+    drawn per block of _SEED_BLOCK (4,096), in the same stream as one
+    ``integers(0, N, size=m)`` per proposal: numpy keeps a word's unused
+    32-bit half in the generator's state.  Deterministic given the seed.
     """
     if m < 1 or N < 1:
         raise ValueError(f"m and N must be >= 1, got m={m}, N={N}")
@@ -549,9 +552,7 @@ def _walk_by_table(
     mags = np.abs(sums)
     totals = mags.sum(axis=0)
     norm = float(np.maximum.reduce(totals))
-    place = n ** np.arange(m - 1, -1, -1)
-    for _ in range(iterations):
-        r, c = divmod(int(rng.integers(0, n, size=m) @ place), n)
+    for r, c in _proposal_cells(rng, n, m, iterations):
         old = rows[r, c]
         column = sums[c] - (2.0 * old) * products[r]
         mag = np.abs(column)
@@ -569,16 +570,25 @@ def _walk_by_kernel(
     signs: np.ndarray, norm: float, rng: np.random.Generator, iterations: int
 ) -> float:
     """Walk ``signs`` in place from its exact ``norm`` through the kernel; returns its norm."""
-    m, n = signs.ndim, signs.shape[0]
-    for _ in range(iterations):
-        idx = tuple(rng.integers(0, n, size=m))
-        signs[idx] = -signs[idx]
+    rows = signs.reshape(-1, signs.shape[0])
+    for r, c in _proposal_cells(rng, rows.shape[1], signs.ndim, iterations):
+        rows[r, c] = -rows[r, c]
         candidate = _exact_norm(signs)
         if candidate < norm:
             norm = candidate
         else:
-            signs[idx] = -signs[idx]
+            rows[r, c] = -rows[r, c]
     return norm
+
+
+def _proposal_cells(
+    rng: np.random.Generator, n: int, m: int, iterations: int
+) -> Iterator[tuple[int, int]]:
+    """Yield each proposal's row and column of ``tensor.reshape(-1, n)``."""
+    place = n ** np.arange(m - 1, -1, -1)
+    for first in range(0, iterations, _SEED_BLOCK):
+        flat = rng.integers(0, n, size=(min(_SEED_BLOCK, iterations - first), m)) @ place
+        yield from zip((flat // n).tolist(), (flat % n).tolist())
 
 
 def run_khinchine_suite(

@@ -361,6 +361,25 @@ class TestSearchAgainstReference:
         _assert_same_as_reference(2, n, 2, 4, 9)
         assert len(calls) == kernel_calls
 
+    def test_same_walk_across_a_draw_block(self, monkeypatch):
+        # 4,100 proposals take two blocks of proposal cells.
+        calls = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(3, 2, 1, 4100, 8)
+        assert calls == []
+
+    def test_same_walk_across_a_draw_block_past_the_table_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_TENSOR_ENTRIES", 0)
+        calls = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(3, 2, 1, 4100, 8)
+        assert len(calls) == 4100
+
+    @pytest.mark.parametrize("table_cap", [verify.MAX_TENSOR_ENTRIES, 0], ids=["table", "kernel"])
+    def test_same_walk_with_small_draw_blocks(self, monkeypatch, table_cap):
+        # Blocks of 5 proposals put block boundaries between accepted flips.
+        monkeypatch.setattr(verify, "_SEED_BLOCK", 5)
+        monkeypatch.setattr(verify, "MAX_TENSOR_ENTRIES", table_cap)
+        _assert_same_as_reference(5, 3, 2, 40, 5)
+
     def test_best_from_an_earlier_restart_is_kept(self):
         finals = _reference_walk(3, 3, 4, 10, 0)
         ratios = [ratio for _, ratio in finals]
@@ -371,6 +390,40 @@ class TestSearchAgainstReference:
         state = search_extremal(3, 3, restarts=4, iterations=10, seed=0)
         assert state.ratio == ratios[best]
         assert np.array_equal(state.tensor.coeffs, finals[best][0].coeffs)
+
+
+class TestProposalCells:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_same_stream_as_one_draw_per_proposal(self, m, n):
+        place = n ** np.arange(m - 1, -1, -1)
+        for iterations in [0, 1, 4095, 4096, 4097, 8195]:
+            blocked = np.random.default_rng((iterations, m, n))
+            per_call = np.random.default_rng((iterations, m, n))
+            # The starting tensor's n^m draws leave a 32-bit half over when n^m is odd.
+            for rng in (blocked, per_call):
+                rng.integers(0, 2, size=(n,) * m)
+            assert per_call.bit_generator.state["has_uint32"] == n % 2
+            expected = [
+                divmod(int(per_call.integers(0, n, size=m) @ place), n) for _ in range(iterations)
+            ]
+            assert list(verify._proposal_cells(blocked, n, m, iterations)) == expected
+            assert blocked.bit_generator.state == per_call.bit_generator.state
+
+    def test_draws_are_bounded_by_the_block(self):
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def integers(self, low, high, size):
+                sizes.append(size)
+                return self.rng.integers(low, high, size=size)
+
+        cells = list(verify._proposal_cells(Recording(np.random.default_rng(0)), 3, 2, 10_000))
+        assert len(cells) == 10_000
+        assert sizes == [(4096, 2), (4096, 2), (1808, 2)]
 
 
 class TestBudgetBeforeDraw:
