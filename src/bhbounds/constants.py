@@ -17,8 +17,9 @@ the boundary, so long chains accumulate no multiplicative drift and the
 claims of exactness stay testable.  An exact rational log2 exponent is
 carried for as long as every Khinchine constant on the recurrence path sits
 on the power-of-two branch: m <= 14 for NEW_REAL and m <= 13 for the COR52
-schemes.  Past that point values are float-only, driven by the Gamma
-formula for A_p.
+schemes.  Only that exact phase builds Fractions.  Past it values are
+float-only, driven by the Gamma formula for A_p, and each step divides its
+integer numerators and denominators as floats.
 
 Branch convention for the COR52 schemes: power-of-two steps (m <= 13)
 divide by a single power of A, Gamma-branch steps (m >= 14) divide by A
@@ -53,11 +54,11 @@ __all__ = [
 class SchemeId(Enum):
     """Identifier of one constant scheme."""
 
-    CLASSIC = "classic"
-    DSP_COMPLEX = "dsp-complex"
-    COR52_REAL = "cor52"
-    COR52_COMPLEX = "cor52-complex"
     NEW_REAL = "new"
+    COR52_REAL = "cor52"
+    CLASSIC = "classic"
+    COR52_COMPLEX = "cor52-complex"
+    DSP_COMPLEX = "dsp-complex"
 
 
 #: Upper bound on the complex Grothendieck constant used as the
@@ -110,27 +111,21 @@ class ConstantsTable:
     rows: tuple[tuple[int, tuple[Log2Constant, ...]], ...]
 
 
-def _log2_A(p: Fraction) -> tuple[Optional[Fraction], float]:
-    """log2 of A_p as (exact-if-power-of-two, float); the branch is khinchine_A's."""
-    a = khinchine_A(float(p))
-    if a.branch is Branch.POWER_OF_TWO:
-        exact = Fraction(1, 2) - 1 / p
-        return exact, float(exact)
-    return None, math.log2(a.value)
+def _cor52_step(k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    return (2 * k - 2, k), (k - 1, 2 * k), (k - 1, k)
 
 
-def _cor52_step(k: int) -> tuple[Fraction, Fraction, Fraction]:
-    return Fraction(2 * k - 2, k), Fraction(k - 1, 2 * k), 1 - Fraction(1, k)
+def _new_step(k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
+    return (2 * k - 4, k - 1), (1, 2), (k - 2, k)
 
 
-def _new_step(k: int) -> tuple[Fraction, Fraction, Fraction]:
-    return Fraction(2 * k - 4, k - 1), Fraction(1, 2), Fraction(k - 2, k)
-
-
-# scheme -> (exact log2 bases at m = 2, 3, ..., k -> (p, step, weight),
-# power of A on exact steps, log2 K_G of the K_G^(2/m) factor that only the
-# float carries).  The number of bases is the stride: each step is
+# scheme -> (exact log2 bases at m = 2, 3, ..., k -> (p, step, weight) as
+# integer pairs (numerator, denominator), power of A on exact steps, log2 K_G
+# of the K_G^(2/m) factor that only the float carries).  The number of bases
+# is the stride: each step is
 #     log2 C_k = step + weight * (log2 C_{k-stride} - power * log2 A_p).
+# While a chain is exact the pairs become Fractions; after that they are
+# divided as floats, which rounds as float(Fraction(a, b)) does.
 _CHAINS = {
     SchemeId.COR52_REAL: ((Fraction(1, 2),), _cor52_step, 1, 0.0),
     SchemeId.COR52_COMPLEX: ((Fraction(0),), _cor52_step, 1, _LOG2_KG),
@@ -162,16 +157,16 @@ def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
             chain.append((base, float(base) + 2.0 / first * log2_kg))
         exact, log2v = chain[-1]
         for k in range(first + stride * len(chain), m + 1, stride):
-            p, step, weight = step_at(k)
-            exact_a, log2_a = _log2_A(p)
-            if exact is not None and exact_a is not None:
-                exact = step + weight * (exact - a_power * exact_a)
+            (pn, pd), (sn, sd), (wn, wd) = step_at(k)
+            a = khinchine_A(pn / pd)
+            if exact is not None and a.branch is Branch.POWER_OF_TWO:
+                log2_a = Fraction(1, 2) - Fraction(pd, pn)
+                exact = Fraction(sn, sd) + Fraction(wn, wd) * (exact - a_power * log2_a)
                 log2v = float(exact) + 2.0 / k * log2_kg
             else:
-                # Gamma-branch steps divide by A^2 in every chain.  Fraction
-                # arithmetic with a float converts the Fraction to float first.
+                # Gamma-branch steps divide by A^2 in every chain.
                 exact = None
-                log2v = step + weight * (log2v - 2.0 * log2_a)
+                log2v = sn / sd + wn / wd * (log2v - 2.0 * math.log2(a.value))
             chain.append((exact, log2v))
         return chain[(m - first) // stride]
 

@@ -5,6 +5,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
+import bhbounds.constants as constants
 from bhbounds.constants import (
     K_GROTHENDIECK,
     SchemeId,
@@ -14,6 +15,7 @@ from bhbounds.constants import (
     constant,
     table,
 )
+from bhbounds.khinchine import Branch, khinchine_A
 
 F = Fraction
 ALL_SCHEMES = tuple(SchemeId)
@@ -260,3 +262,74 @@ class TestLongChainAccuracy:
     def test_log2_against_mpmath(self, scheme, m):
         expected = float(_mp_log2_chain(scheme, 2000)[m])
         assert constant(scheme, m).log2_value == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def _reference_log2_A(p: Fraction):
+    a = khinchine_A(float(p))
+    if a.branch is Branch.POWER_OF_TWO:
+        exact = F(1, 2) - 1 / p
+        return exact, float(exact)
+    return None, math.log2(a.value)
+
+
+def _reference_parts(scheme: SchemeId, m_max: int) -> dict:
+    """(exact exponent, log2 value) for m = 2..m_max, every step in Fractions.
+
+    Fraction arithmetic with a float converts the Fraction to float first,
+    so the float phase rounds each step, weight and p exactly once.
+    """
+    log2_kg = math.log2(K_GROTHENDIECK) if scheme is SchemeId.COR52_COMPLEX else 0.0
+    if scheme is SchemeId.NEW_REAL:
+        bases, a_power = (F(1, 2), F(5, 6)), 2
+    else:
+        bases, a_power = (F(0) if log2_kg else F(1, 2),), 1
+    stride = len(bases)
+    parts = {m: (b, float(b) + 2.0 / m * log2_kg) for m, b in enumerate(bases, 2)}
+    for k in range(2 + stride, m_max + 1):
+        if scheme is SchemeId.NEW_REAL:
+            p, step, weight = F(2 * k - 4, k - 1), F(1, 2), F(k - 2, k)
+        else:
+            p, step, weight = F(2 * k - 2, k), F(k - 1, 2 * k), 1 - F(1, k)
+        exact, log2v = parts[k - stride]
+        exact_a, log2_a = _reference_log2_A(p)
+        if exact is not None and exact_a is not None:
+            exact = step + weight * (exact - a_power * exact_a)
+            log2v = float(exact) + 2.0 / k * log2_kg
+        else:
+            exact = None
+            log2v = step + weight * (log2v - 2.0 * log2_a)
+        parts[k] = (exact, log2v)
+    return parts
+
+
+class TestRecurrenceFormulation:
+    # m = 5000 spans each chain's exact phase, its first Gamma step (14 for
+    # COR52, 15 and 16 for NEW_REAL) and a long float phase.
+    @pytest.mark.parametrize(
+        "scheme", [SchemeId.COR52_REAL, SchemeId.COR52_COMPLEX, SchemeId.NEW_REAL]
+    )
+    def test_bit_identical_to_fraction_steps(self, scheme, monkeypatch):
+        monkeypatch.setattr(constants, "_chains", {})
+        reference = _reference_parts(scheme, 5000)
+        for m in range(2, 5001):
+            got = constant(scheme, m)
+            assert got.log2_value == reference[m][1], m
+            assert got.exact_exponent == reference[m][0], m
+
+    def test_no_fraction_past_the_exact_phase(self, monkeypatch):
+        monkeypatch.setattr(constants, "_chains", {})
+        # (scheme, last exact m of the chain, m deep in its float phase)
+        fills = [(SchemeId.NEW_REAL, 13, 300), (SchemeId.NEW_REAL, 14, 301),
+                 (SchemeId.COR52_REAL, 13, 300)]
+        for scheme, m_exact, _ in fills:
+            constant(scheme, m_exact)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(constants, "Fraction", counting)
+        for scheme, _, m_float in fills:
+            constant(scheme, m_float)
+        assert len(built) == 0
