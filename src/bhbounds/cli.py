@@ -195,6 +195,9 @@ def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
     takes = () if battery else ("count", *_SUITES[args.suite][2])
     given = [f"--{n}" for n in ("count", *_SIZE_DEFAULTS)
              if n not in takes and getattr(args, n) is not None]
+    # Only bh and summing, the suites with size flags, dump failing tensors.
+    if args.dump_dir is not None and not battery and not _SUITES[args.suite][2]:
+        given.append("--dump-dir")
     if given:
         reason = ("runs the battery at fixed sizes" if battery
                   else "takes only " + ", ".join(f"--{n}" for n in takes))

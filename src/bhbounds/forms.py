@@ -10,20 +10,22 @@ slot collapses its maximization to an l1 sum, so the exact norm is
 Negating one slot's signs negates every value, which the outer abs
 undoes, so fixing s[0] = +1 in each slot leaves 2^((m-1)(N-1)) patterns
 to enumerate.  ``check_budget`` is the one place that decides whether a
-shape may be enumerated: those (m-1)*(N-1) sign bits must not exceed the
-fixed budget DEFAULT_BUDGET_BITS (24), m must not exceed 31, and its N^m
-entries must not exceed MAX_TENSOR_ENTRIES (2^20).  Past them,
-``sup_norm_lower`` gives a certified-from-below estimate by alternating
-sign ascent.
+shape may be enumerated: m and N must be at least 1, those (m-1)*(N-1)
+sign bits must not exceed the fixed budget DEFAULT_BUDGET_BITS (24), m
+must not exceed 31, and its N^m entries must not exceed
+MAX_TENSOR_ENTRIES (2^20).  Past them, ``sup_norm_lower`` gives a
+certified-from-below estimate by alternating sign ascent.
 
 In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
 ``_sign_products`` (S[r, k] is the product of pattern k's signs at the
-first m-1 indices of row r), the norm is max_k sum_c |P[c, k]| for the
-pattern table P = M.T @ S.  Changing the entry at row r, column c of M
-changes only P[c], by the change times S[r]; ``verify.search_extremal``
-scores its one-entry flips that way.  On a tensor of integers whose
-absolute sum is below 2^53 every such sum is exact, so the table gives
-the kernel's norm bit for bit.
+first m-1 indices of row r), the norm is max_k R[k], where
+R = sum_c |P[c]| over the rows of the pattern table P = M.T @ S.
+Changing the entry ``old`` at row r, column c of M to ``new`` moves only
+P[c], by (new - old) * S[r], so a one-entry change is scored as
+max(R - |P[c]| + |P[c] + (new - old) * S[r]|) without a new enumeration;
+``verify.search_extremal`` scores its sign flips (new = -old) that way.
+On a tensor of integers whose absolute sum is below 2^53 every such sum
+is exact, so the table gives the kernel's norm bit for bit.
 """
 
 from __future__ import annotations
@@ -71,11 +73,14 @@ class BudgetExceededError(ValueError):
 def check_budget(m: int, N: int) -> None:
     """Raise BudgetExceededError unless an (m, N) shape may be enumerated.
 
-    The (m-1)*(N-1) sign bits of the patterns the kernel visits must fit
+    m and N must be at least 1 (a plain ValueError otherwise).  The
+    (m-1)*(N-1) sign bits of the patterns the kernel visits must fit
     DEFAULT_BUDGET_BITS, m must be at most 31 (at N = 1 the bits alone
     would admit any m), and the N^m entries of its tensor must fit
     MAX_TENSOR_ENTRIES, so a shape is rejected before any tensor is drawn.
     """
+    if m < 1 or N < 1:
+        raise ValueError(f"m and N must be >= 1, got m={m}, N={N}")
     bits = (m - 1) * (N - 1)
     if bits > DEFAULT_BUDGET_BITS:
         raise BudgetExceededError(
@@ -151,8 +156,13 @@ def to_interchange(form: MultilinearForm, seed: Optional[int] = None) -> dict:
 
 
 def from_interchange(doc: dict) -> MultilinearForm:
-    """Rebuild a form from an interchange document; m and N must be ints,
-    coeffs a flat list of ints and floats."""
+    """Rebuild a form from an interchange document: a JSON object whose m
+    and N are ints and whose coeffs is a flat list of ints and floats."""
+    if type(doc) is not dict:
+        raise ValueError(f"interchange document must be a JSON object, got {type(doc).__name__}")
+    for field in ("m", "N", "coeffs"):
+        if field not in doc:
+            raise ValueError(f"interchange document lacks {field!r}")
     for field in ("m", "N"):
         if type(doc[field]) is not int:  # not a float, bool or string
             raise ValueError(f"interchange {field!r} must be an integer, got {doc[field]!r}")

@@ -34,7 +34,7 @@ from .forms import (
     MultilinearForm,
     _exact_norm,
     _sign_products,
-    bh_lhs,
+    bh_ratio,
     check_budget,
     dump_form,
     multiple_summing_lhs,
@@ -73,10 +73,8 @@ EXPECTATION_MAX_BITS = 20
 # proposals drawn per ``integers`` call.
 _SEED_BLOCK = 1 << 12
 
-# A bh block holds at most this many coefficients (but at least one tensor)
-# and this many trials, whose Python floats cost more than small tensors.
-_BH_BLOCK_COEFFS = 1 << 16
-_BH_BLOCK_TRIALS = 1 << 10
+# A bh block holds at most this many coefficients, but at least one tensor.
+_BH_BLOCK_COEFFS = 1 << 12
 
 # The seeding hashes each trial index as one uint32 word.
 _MAX_TRIALS = 1 << 32
@@ -440,7 +438,7 @@ def run_bh_trials(
         holds = ~(ratios > bound * (1.0 + REL_SLACK))
         return bound - ratios, ratios, holds, lambda j: MultilinearForm(tensors[j])
 
-    block_size = max(1, min(_BH_BLOCK_TRIALS, _BH_BLOCK_COEFFS // N**m))
+    block_size = max(1, _BH_BLOCK_COEFFS // N**m)
     return _run("bh", count, seed, block, failure_dir, block_size)
 
 
@@ -488,62 +486,38 @@ def search_extremal(
     """Hill-climb over sign tensors for a large certified ratio.
 
     Each restart draws a +-1 tensor and walks it: a proposal flips one
-    random entry and is kept only if it strictly raises the ratio.  Every
-    entry stays +-1, so the coefficient norm ``bh_lhs`` is the same for
-    every tensor of the search, and a proposal raises the ratio exactly
-    when it lowers the exact norm, an integer of at most N^m <= 2^20, so
-    comparing norms decides every ratio comparison as the floats would.
+    random entry and is kept only if it strictly lowers the exact norm.
+    Every entry stays +-1, so ``bh_lhs`` is the same for every tensor of
+    the search and a lower norm, an integer of at most N^m <= 2^20, is
+    exactly a higher ratio.  Proposals are scored from the pattern table
+    of the ``forms`` module docstring while S and P together hold at most
+    MAX_TENSOR_ENTRIES entries, and through the kernel past that; both
+    give the same norms, so the walk does not change with the cap.
 
-    The norm is max_k R[k] over the pattern table P = M.T @ S, where
-    M = tensor.reshape(-1, N), S holds the sign products of
-    ``forms._sign_products`` and R = sum_c |P[c]|.  The search builds S
-    once, and each restart builds P, |P| and R.  Flipping the entry ``old``
-    at row r, column c of M moves only P[c], by -2*old*S[r], so a proposal
-    scores max(R - |P[c]| + |P[c] - 2*old*S[r]|) and writes nothing; an
-    accepted one writes the sign, P[c], |P[c]| and R.  Every sum is an
-    integer below 2^53, so each score equals ``_exact_norm(tensor)`` bit
-    for bit.  Where S and P together would hold more than
-    MAX_TENSOR_ENTRIES entries, each proposal instead flips its entry in
-    place, is scored through the kernel and is flipped back if rejected.
-
-    The first restart to reach the smallest norm wins, and one
-    ``sup_norm_exact`` call per search certifies its ratio.  One budget
-    check, before any draw, covers every proposal.  Proposal cells are
-    drawn per block of _SEED_BLOCK (4,096), in the same stream as one
-    ``integers(0, N, size=m)`` per proposal: numpy keeps a word's unused
-    32-bit half in the generator's state.  Deterministic given the seed.
+    The shape passes ``check_budget`` before any draw.  The first restart
+    to reach the smallest norm wins, and ``bh_ratio`` certifies it.
+    Deterministic given the seed.
     """
-    if m < 1 or N < 1:
-        raise ValueError(f"m and N must be >= 1, got m={m}, N={N}")
+    check_budget(m, N)
     if not 1 <= restarts <= _MAX_TRIALS or iterations < 0:
         raise ValueError("restarts must be in [1, 2^32] and iterations >= 0")
-    check_budget(m, N)
-    products = None
+    walk = _walk_by_kernel
     # S has N^(m-1) rows and P has N, each one entry per enumerated pattern.
     if (N ** (m - 1) + N) << ((m - 1) * (N - 1)) <= MAX_TENSOR_ENTRIES:
-        products = _sign_products(m, N)
+        walk = functools.partial(_walk_by_table, products=_sign_products(m, N))
     best_signs, best_norm = None, np.inf
     for rng in _trial_rngs(seed, restarts):
         signs = _draw_tensor(rng, m, N, sign_entries=True)
-        if products is None:
-            start = sup_norm_exact(MultilinearForm(signs))
-            norm = _walk_by_kernel(signs, start, rng, iterations)
-        else:
-            norm = _walk_by_table(signs, products, rng, iterations)
+        norm = walk(signs, rng, iterations)
         if norm < best_norm:
             # Each restart draws a new array, so this one is never flipped again.
             best_signs, best_norm = signs, norm
     best = MultilinearForm(best_signs)
-    return SearchState(
-        tensor=best,
-        ratio=bh_lhs(best) / sup_norm_exact(best),
-        iterations=restarts * iterations,
-        restarts=restarts,
-    )
+    return SearchState(best, bh_ratio(best), restarts * iterations, restarts)
 
 
 def _walk_by_table(
-    signs: np.ndarray, products: np.ndarray, rng: np.random.Generator, iterations: int
+    signs: np.ndarray, rng: np.random.Generator, iterations: int, products: np.ndarray
 ) -> float:
     """Walk ``signs`` in place, scoring proposals from the pattern table; returns its norm."""
     m, n = signs.ndim, signs.shape[0]
@@ -566,10 +540,9 @@ def _walk_by_table(
     return norm
 
 
-def _walk_by_kernel(
-    signs: np.ndarray, norm: float, rng: np.random.Generator, iterations: int
-) -> float:
-    """Walk ``signs`` in place from its exact ``norm`` through the kernel; returns its norm."""
+def _walk_by_kernel(signs: np.ndarray, rng: np.random.Generator, iterations: int) -> float:
+    """Walk ``signs`` in place, scoring each proposal through the kernel; returns its norm."""
+    norm = sup_norm_exact(MultilinearForm(signs))
     rows = signs.reshape(-1, signs.shape[0])
     for r, c in _proposal_cells(rng, rows.shape[1], signs.ndim, iterations):
         rows[r, c] = -rows[r, c]
@@ -584,7 +557,12 @@ def _walk_by_kernel(
 def _proposal_cells(
     rng: np.random.Generator, n: int, m: int, iterations: int
 ) -> Iterator[tuple[int, int]]:
-    """Yield each proposal's row and column of ``tensor.reshape(-1, n)``."""
+    """Yield each proposal's row and column of ``tensor.reshape(-1, n)``.
+
+    Drawn _SEED_BLOCK proposals per call, in the stream of one
+    ``integers(0, n, size=m)`` per proposal: numpy keeps a word's unused
+    32-bit half in the generator's state.
+    """
     place = n ** np.arange(m - 1, -1, -1)
     for first in range(0, iterations, _SEED_BLOCK):
         flat = rng.integers(0, n, size=(min(_SEED_BLOCK, iterations - first), m)) @ place

@@ -209,6 +209,24 @@ class TestVerify:
         assert code == 0
         assert out.startswith("suite=summing trials=3 ")
 
+    def test_single_suite_rejects_stray_dump_dir(self, capsys, tmp_path):
+        # Failures in these suites carry no tensor, so nothing would be dumped.
+        dump_dir = tmp_path / "dumps"
+        for suite in ("khinchine", "kcc", "blei", "tensor"):
+            code, out, err = run_cli(
+                capsys, "verify", "--suite", suite, "--count", "2", "--dump-dir", str(dump_dir)
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: --suite {suite} takes only --count; drop --dump-dir\n"
+        for suite in ("bh", "summing"):
+            code, out, _ = run_cli(
+                capsys, "verify", "--suite", suite, "--count", "2", "--dump-dir", str(dump_dir)
+            )
+            assert code == 0
+            assert out.startswith(f"suite={suite} trials=2 failures=0 ")
+        assert not dump_dir.exists()
+
     def test_negative_seed_exit_2(self, capsys):
         for command in ("verify", "search"):
             code, out, err = run_cli(capsys, command, "--seed", "-1")
@@ -222,6 +240,34 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert len(lines) == 8
         assert all("failures=0" in line for line in lines)
+
+    def test_suites_are_the_library_calls(self, capsys, tmp_path):
+        # The battery's sizes and counts, written out rather than read from the CLI.
+        battery = [
+            verify.run_khinchine_suite(count=100, seed=7),
+            verify.run_kcc_suite(count=100, seed=7),
+            verify.run_blei_suite(count=1000, seed=7),
+            verify.run_tensor_suite(count=200, seed=7),
+            verify.run_bh_trials(2, 2, 10000, 7),
+            verify.run_bh_trials(3, 3, 1000, 7),
+            verify.run_bh_trials(4, 2, 100, 7),
+            verify.check_multiple_summing(2, 2, 3, 1000, 7),
+        ]
+        expected = "".join(report.to_json() + "\n" for report in battery)
+        # --suite all keeps --dump-dir; no trial fails, so nothing is written.
+        dump_dir = tmp_path / "dumps"
+        code, out, err = run_cli(
+            capsys, "verify", "--seed", "7", "--format", "json", "--dump-dir", str(dump_dir)
+        )
+        assert (code, out, err) == (0, expected, "")
+        assert not dump_dir.exists()
+        for suite, report in [
+            ("bh", verify.run_bh_trials(2, 2, 1000, 7)),
+            ("summing", verify.check_multiple_summing(2, 2, 3, 1000, 7)),
+        ]:
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7",
+                                   "--format", "json")
+            assert (code, out) == (0, report.to_json() + "\n")
 
 
 class TestSearch:

@@ -144,6 +144,20 @@ class TestInterchange:
             with pytest.raises(ValueError, match="'coeffs'"):
                 from_interchange(doc)
 
+    def test_malformed_documents_name_the_field(self, tmp_path):
+        for doc, message in [
+            ({}, r"^interchange document lacks 'm'$"),
+            ({"m": 2, "N": 2}, r"^interchange document lacks 'coeffs'$"),
+            ([1, 2], r"^interchange document must be a JSON object, got list$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                from_interchange(doc)
+            # load_form reads documents from outside the program.
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=message):
+                load_form(path)
+
 
 class TestEvaluate:
     def test_basis_tensor(self):
@@ -294,6 +308,13 @@ class TestCheckBudget:
         monkeypatch.setenv("BH_BUDGET_BITS", "40")
         with pytest.raises(BudgetExceededError, match="exceed the budget of 24$"):
             check_budget(5, 8)
+
+    @pytest.mark.parametrize("m,n", [(0, 5), (2, 0), (2, -1)])
+    def test_empty_shapes(self, m, n):
+        # Their bit counts and entry counts fit, so only the shape check rejects them.
+        with pytest.raises(ValueError, match=rf"^m and N must be >= 1, got m={m}, N={n}$") as err:
+            check_budget(m, n)
+        assert type(err.value) is ValueError
 
     def test_caps_inside_the_bit_budget(self):
         # Inside the sign-bit budget, m <= 31 and N^m <= MAX_TENSOR_ENTRIES still hold.

@@ -464,6 +464,29 @@ class TestBudgetBeforeDraw:
         with pytest.raises(BudgetExceededError, match=cap):
             search_extremal(m, n)
 
+    def test_empty_shape(self):
+        with pytest.raises(ValueError, match="m and N must be >= 1"):
+            run_bh_trials(2, 0, 10, 0)
+        with pytest.raises(ValueError, match="m and N must be >= 1"):
+            check_multiple_summing(2, 0, 3, 10, 0)
+
+    def test_check_budget_is_the_only_shape_gate(self, monkeypatch):
+        gated = []
+
+        def gate(m, n):
+            gated.append((m, n))
+            raise LookupError("gated")
+
+        monkeypatch.setattr(verify, "check_budget", gate)
+        for call in (
+            lambda: run_bh_trials(2, 0, 10, 0),
+            lambda: check_multiple_summing(2, 0, 3, 10, 0),
+            lambda: search_extremal(2, 0),
+        ):
+            with pytest.raises(LookupError, match="gated"):
+                call()
+        assert gated == [(2, 0)] * 3
+
     def test_summing_family_tuples(self):
         with pytest.raises(BudgetExceededError, match=r"^J\^m = 4097\^2 family tuples"):
             check_multiple_summing(2, 2, 4097, 1, seed=0)
