@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .constants import ConstantsTable, Log2Constant, SchemeId, constant, table
 from .forms import dump_form
@@ -28,29 +28,30 @@ from .verify import (
     search_extremal,
 )
 
-# Suite -> (runner taking the parsed flags and a trial count, default count,
-# the size flags it takes).
+# Suite -> (runner taking the parsed flags, {flag: default} for every flag
+# it takes beyond --seed and --format).  A runner names its library function
+# when called, so a rebinding of that module attribute reaches it.
 _SUITES = {
-    "khinchine": (lambda a, count: run_khinchine_suite(count=count, seed=a.seed), 100, ()),
-    "kcc": (lambda a, count: run_kcc_suite(count=count, seed=a.seed), 100, ()),
-    "blei": (lambda a, count: run_blei_suite(count=count, seed=a.seed), 1000, ()),
-    "tensor": (lambda a, count: run_tensor_suite(count=count, seed=a.seed), 200, ()),
+    "khinchine": (lambda a: run_khinchine_suite(count=a.count, seed=a.seed), {"count": 100}),
+    "kcc": (lambda a: run_kcc_suite(count=a.count, seed=a.seed), {"count": 100}),
+    "blei": (lambda a: run_blei_suite(count=a.count, seed=a.seed), {"count": 1000}),
+    "tensor": (lambda a: run_tensor_suite(count=a.count, seed=a.seed), {"count": 200}),
     "bh": (
-        lambda a, count: run_bh_trials(a.m, a.n, count, a.seed, failure_dir=a.dump_dir),
-        1000,
-        ("m", "n"),
+        lambda a: run_bh_trials(a.m, a.n, a.count, a.seed, failure_dir=a.dump_dir),
+        {"count": 1000, "m": 2, "n": 2, "dump_dir": None},
     ),
     "summing": (
-        lambda a, count: check_multiple_summing(
-            a.m, a.n, a.j, count, a.seed, failure_dir=a.dump_dir
-        ),
-        1000,
-        ("m", "n", "j"),
+        lambda a: check_multiple_summing(a.m, a.n, a.j, a.count, a.seed, failure_dir=a.dump_dir),
+        {"count": 1000, "m": 2, "n": 2, "dump_dir": None, "j": 3},
     ),
 }
 
-# The full battery: each run's flags over the parsed ones; a run without a
-# count uses its suite's default.
+# Every flag a row may hold, as its parsed name and option, in the order an
+# error lists them.
+_SUITE_FLAGS = {"count": "--count", "m": "--m", "n": "--n", "j": "--j", "dump_dir": "--dump-dir"}
+
+# The full battery: each run's flags over its suite's defaults.  Of the
+# flags above it takes only --dump-dir.
 _BATTERY = (
     {"suite": "khinchine"}, {"suite": "kcc"}, {"suite": "blei"}, {"suite": "tensor"},
     {"suite": "bh", "m": 2, "n": 2, "count": 10000},
@@ -59,14 +60,10 @@ _BATTERY = (
     {"suite": "summing", "m": 2, "n": 2, "j": 3, "count": 1000},
 )
 
-# Size flags and their defaults for the suites that take them; --suite all
-# takes none of them and no --count either.
-_SIZE_DEFAULTS = {"m": 2, "n": 2, "j": 3}
-
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
-# The largest table row: `table --m-max 100000` already takes about 4 s and
-# 330 MB on a 2 vCPU Xeon, and the cost grows with m.
+# The largest table row: `table --m-max 100000` already takes about 4 s and,
+# as JSON, 260 MB on a 2 vCPU Xeon, and the cost grows with m.
 _TABLE_M_MAX = 100_000
 
 # Every table value and prefactor is at least 1, a double with at most 52
@@ -118,7 +115,7 @@ def _exact_pair(exact: Optional[Fraction]) -> Optional[list[int]]:
     return [exact.numerator, exact.denominator]
 
 
-def _table_lines(tab: ConstantsTable, precision: int) -> list[list[str]]:
+def _table_lines(tab: ConstantsTable, precision: int) -> Iterator[list[str]]:
     """Header and rows of cells; an overflowed value reads 2^<log2_value>."""
 
     def cell(cons: Log2Constant) -> str:
@@ -126,21 +123,26 @@ def _table_lines(tab: ConstantsTable, precision: int) -> list[list[str]]:
             return _fmt(cons.value, precision)
         return "2^" + _fmt(cons.log2_value, precision)
 
-    header = ["m"] + [s.value for s in tab.schemes]
-    return [header] + [[str(m)] + [cell(c) for c in row] for m, row in tab.rows]
+    yield ["m"] + [s.value for s in tab.schemes]
+    for m, row in tab.rows:
+        yield [str(m)] + [cell(c) for c in row]
 
 
-def _render_table_text(tab: ConstantsTable, precision: int) -> str:
-    lines = _table_lines(tab, precision)
+# Each renderer yields the lines of its output, so text and CSV are never
+# joined into one string; JSON is one document, so one line.
+def _render_table_text(tab: ConstantsTable, precision: int) -> Iterator[str]:
+    lines = list(_table_lines(tab, precision))
     widths = [max(len(cells[i]) for cells in lines) for i in range(len(lines[0]))]
-    return "\n".join("  ".join(v.rjust(w) for v, w in zip(cells, widths)) for cells in lines)
+    for cells in lines:
+        yield "  ".join(v.rjust(w) for v, w in zip(cells, widths))
 
 
-def _render_table_csv(tab: ConstantsTable, precision: int) -> str:
-    return "\n".join(",".join(cells) for cells in _table_lines(tab, precision))
+def _render_table_csv(tab: ConstantsTable, precision: int) -> Iterator[str]:
+    for cells in _table_lines(tab, precision):
+        yield ",".join(cells)
 
 
-def _render_table_json(tab: ConstantsTable, precision: int) -> str:
+def _render_table_json(tab: ConstantsTable, precision: int) -> Iterator[str]:
     rows = []
     for m, row in tab.rows:
         values = {}
@@ -155,7 +157,7 @@ def _render_table_json(tab: ConstantsTable, precision: int) -> str:
             values[scheme.value] = entry
         rows.append({"m": m, "values": values})
     doc = {"schemes": [s.value for s in tab.schemes], "precision": precision, "rows": rows}
-    return json.dumps(doc, allow_nan=False)
+    yield json.dumps(doc, allow_nan=False)
 
 
 _TABLE_RENDERERS = {
@@ -170,7 +172,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} is greater than --m-max {args.m_max}")
     tab = table(args.m_min, args.m_max, schemes)
-    print(_TABLE_RENDERERS[args.format](tab, args.precision))
+    for line in _TABLE_RENDERERS[args.format](tab, args.precision):
+        print(line)
     return 0
 
 
@@ -192,27 +195,17 @@ def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
 
 def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
     battery = args.suite == "all"
-    takes = () if battery else ("count", *_SUITES[args.suite][2])
-    given = [f"--{n}" for n in ("count", *_SIZE_DEFAULTS)
-             if n not in takes and getattr(args, n) is not None]
-    # Only bh and summing, the suites with size flags, dump failing tensors.
-    if args.dump_dir is not None and not battery and not _SUITES[args.suite][2]:
-        given.append("--dump-dir")
-    if given:
+    takes = ("dump_dir",) if battery else _SUITES[args.suite][1]
+    given = {n: getattr(args, n) for n in _SUITE_FLAGS if getattr(args, n) is not None}
+    stray = [_SUITE_FLAGS[n] for n in given if n not in takes]
+    if stray:
         reason = ("runs the battery at fixed sizes" if battery
-                  else "takes only " + ", ".join(f"--{n}" for n in takes))
-        raise ValueError(f"--suite {args.suite} {reason}; drop {', '.join(given)}")
-    if battery:
-        runs = [argparse.Namespace(**{**vars(args), **flags}) for flags in _BATTERY]
-    else:
-        for name in _SUITES[args.suite][2]:
-            if getattr(args, name) is None:
-                setattr(args, name, _SIZE_DEFAULTS[name])
-        runs = [args]
+                  else "takes only " + ", ".join(_SUITE_FLAGS[n] for n in takes))
+        raise ValueError(f"--suite {args.suite} {reason}; drop {', '.join(stray)}")
     reports = []
-    for run in runs:
-        runner, default_count, _ = _SUITES[run.suite]
-        reports.append(runner(run, default_count if run.count is None else run.count))
+    for run in _BATTERY if battery else ({"suite": args.suite},):
+        runner, defaults = _SUITES[run["suite"]]
+        reports.append(runner(argparse.Namespace(**{**vars(args), **defaults, **given, **run})))
     return reports
 
 

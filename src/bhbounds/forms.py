@@ -139,6 +139,11 @@ def _family_matrix(family: FamilyLike) -> np.ndarray:
 
 def form_from_flat(m: int, N: int, flat: Sequence[float]) -> MultilinearForm:
     """Build a form from a row-major flat coefficient list."""
+    # Before N**m: a file's m or N could make that power a huge integer.
+    if not 1 <= m <= _MAX_ARITY:
+        raise ValueError(f"m must be between 1 and {_MAX_ARITY}, got m={m}")
+    if not 1 <= N <= MAX_TENSOR_ENTRIES:
+        raise ValueError(f"N must be between 1 and {MAX_TENSOR_ENTRIES}, got N={N}")
     arr = np.asarray(flat, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"coefficients must be flat, got shape {arr.shape}")

@@ -197,9 +197,8 @@ class TestVerify:
         assert out == ""
         assert "drop --m, --n, --j\n" in err
         code, out, err = run_cli(capsys, "verify", "--suite", "bh", "--j", "9", "--count", "2")
-        assert code == 2
-        assert out == ""
-        assert "drop --j\n" in err
+        assert (code, out) == (2, "")
+        assert err == "error: --suite bh takes only --count, --m, --n, --dump-dir; drop --j\n"
         for suite in ("kcc", "blei", "tensor"):
             assert run_cli(capsys, "verify", "--suite", suite, "--n", "3")[0] == 2
         code, out, _ = run_cli(
@@ -226,6 +225,34 @@ class TestVerify:
             assert code == 0
             assert out.startswith(f"suite={suite} trials=2 failures=0 ")
         assert not dump_dir.exists()
+
+    # The flags each suite takes beyond --seed and --format, written out
+    # rather than read from the CLI.
+    TAKES = {
+        "khinchine": ("--count",),
+        "kcc": ("--count",),
+        "blei": ("--count",),
+        "tensor": ("--count",),
+        "bh": ("--count", "--m", "--n", "--dump-dir"),
+        "summing": ("--count", "--m", "--n", "--j", "--dump-dir"),
+    }
+
+    @pytest.mark.parametrize("flag", ("--count", "--m", "--n", "--j", "--dump-dir"))
+    @pytest.mark.parametrize("suite", tuple(TAKES))
+    def test_suite_flag_matrix(self, capsys, tmp_path, suite, flag):
+        value = str(tmp_path / "dumps") if flag == "--dump-dir" else "2"
+        argv = ["verify", "--suite", suite, flag, value]
+        if flag != "--count":
+            argv += ["--count", "2"]
+        code, out, err = run_cli(capsys, *argv)
+        if flag in self.TAKES[suite]:
+            assert (code, err) == (0, "")
+            assert out.startswith(f"suite={suite} trials=2 failures=0 ")
+        else:
+            takes = ", ".join(self.TAKES[suite])
+            assert (code, out) == (2, "")
+            assert err == f"error: --suite {suite} takes only {takes}; drop {flag}\n"
+        assert not (tmp_path / "dumps").exists()
 
     def test_negative_seed_exit_2(self, capsys):
         for command in ("verify", "search"):

@@ -158,6 +158,24 @@ class TestInterchange:
             with pytest.raises(ValueError, match=message):
                 load_form(path)
 
+    def test_shape_bounded_before_the_power(self):
+        # The shape is checked before N**m, which at m = 10**7 takes seconds.
+        m_range = "^m must be between 1 and 31, got"
+        n_range = "^N must be between 1 and 1048576, got"
+        for doc, message in [
+            ({"m": 10**7, "N": 3, "coeffs": [1.0]}, rf"{m_range} m=10+$"),
+            ({"m": 32, "N": 1, "coeffs": [1.0]}, rf"{m_range} m=32$"),
+            ({"m": 0, "N": 3, "coeffs": [1.0]}, rf"{m_range} m=0$"),
+            ({"m": -1, "N": 3, "coeffs": [1.0]}, rf"{m_range} m=-1$"),
+            ({"m": 2, "N": -2, "coeffs": [1, 2, 3, 4]}, rf"{n_range} N=-2$"),
+            ({"m": 2, "N": 0, "coeffs": []}, rf"{n_range} N=0$"),
+            # N^31 would have 6,201 digits, too many for a message to print.
+            ({"m": 31, "N": 10**200, "coeffs": [1.0]}, rf"{n_range} N=10+$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                from_interchange(doc)
+        assert from_interchange({"m": 31, "N": 1, "coeffs": [2.0]}).m == 31
+
 
 class TestEvaluate:
     def test_basis_tensor(self):
