@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from dataclasses import fields
-from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
 from .constants import ConstantsTable, Log2Constant, SchemeId, constant, table
@@ -62,8 +61,8 @@ _BATTERY = (
 
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
-# The largest table row: `table --m-max 100000` already takes about 4 s and,
-# as JSON, 260 MB on a 2 vCPU Xeon, and the cost grows with m.
+# The largest table row: `table --m-max 100000` already takes 4 to 5 s and
+# up to 145 MB on a 2 vCPU Xeon in any format, and the cost grows with m.
 _TABLE_M_MAX = 100_000
 
 # Every table value and prefactor is at least 1, a double with at most 52
@@ -109,12 +108,6 @@ def _fmt(value: float, precision: int) -> str:
     return format(value, f".{precision}f")
 
 
-def _exact_pair(exact: Optional[Fraction]) -> Optional[list[int]]:
-    if exact is None:
-        return None
-    return [exact.numerator, exact.denominator]
-
-
 def _table_lines(tab: ConstantsTable, precision: int) -> Iterator[list[str]]:
     """Header and rows of cells; an overflowed value reads 2^<log2_value>."""
 
@@ -128,36 +121,39 @@ def _table_lines(tab: ConstantsTable, precision: int) -> Iterator[list[str]]:
         yield [str(m)] + [cell(c) for c in row]
 
 
-# Each renderer yields the lines of its output, so text and CSV are never
-# joined into one string; JSON is one document, so one line.
+# Each renderer yields finished pieces of its output, newlines included, and
+# cmd_table writes each piece as it comes, so no format is built whole.
 def _render_table_text(tab: ConstantsTable, precision: int) -> Iterator[str]:
     lines = list(_table_lines(tab, precision))
     widths = [max(len(cells[i]) for cells in lines) for i in range(len(lines[0]))]
     for cells in lines:
-        yield "  ".join(v.rjust(w) for v, w in zip(cells, widths))
+        yield "  ".join(v.rjust(w) for v, w in zip(cells, widths)) + "\n"
 
 
 def _render_table_csv(tab: ConstantsTable, precision: int) -> Iterator[str]:
     for cells in _table_lines(tab, precision):
-        yield ",".join(cells)
+        yield ",".join(cells) + "\n"
 
 
 def _render_table_json(tab: ConstantsTable, precision: int) -> Iterator[str]:
-    rows = []
-    for m, row in tab.rows:
+    """Strict json.dumps bytes of the whole table, yielded a row at a time."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    schemes = encode([s.value for s in tab.schemes])
+    yield f'{{"schemes": {schemes}, "precision": {precision}, "rows": ['
+    for i, (m, row) in enumerate(tab.rows):
         values = {}
         for scheme, cons in zip(tab.schemes, row):
             if math.isfinite(cons.value):
                 entry = {"value": float(_fmt(cons.value, precision))}
             else:
                 entry = {"value": None, "log2": cons.log2_value}
-            entry["exact_log2"] = _exact_pair(cons.exact_exponent)
+            exact = cons.exact_exponent
+            entry["exact_log2"] = None if exact is None else list(exact.as_integer_ratio())
             if cons.prefactor is not None:
                 entry["prefactor"] = float(_fmt(cons.prefactor, precision))
             values[scheme.value] = entry
-        rows.append({"m": m, "values": values})
-    doc = {"schemes": [s.value for s in tab.schemes], "precision": precision, "rows": rows}
-    yield json.dumps(doc, allow_nan=False)
+        yield (", " if i else "") + encode({"m": m, "values": values})
+    yield "]}\n"
 
 
 _TABLE_RENDERERS = {
@@ -172,8 +168,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} is greater than --m-max {args.m_max}")
     tab = table(args.m_min, args.m_max, schemes)
-    for line in _TABLE_RENDERERS[args.format](tab, args.precision):
-        print(line)
+    sys.stdout.writelines(_TABLE_RENDERERS[args.format](tab, args.precision))
     return 0
 
 

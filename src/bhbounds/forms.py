@@ -358,7 +358,7 @@ def multiple_summing_lhs(
     With canonical-basis families and p = 2m/(m+1) this reduces to
     ``bh_lhs``.
     """
-    if p < 1.0:
+    if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be >= 1, got {p}")
     if len(families) != form.m:
         raise ValueError(f"expected {form.m} families, got {len(families)}")

@@ -53,7 +53,7 @@ _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 
 def ln_gamma(x: float) -> float:
     """Natural logarithm of Gamma(x) for x > 0, via ``math.lgamma``."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -107,7 +107,7 @@ def khinchine_B(p: float) -> float:
     Exponents above 2 are rejected rather than extended: the constant is
     no longer 1 there and nothing in this package needs it.
     """
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValueError(f"khinchine_B requires p > 0, got {p}")
     if p > 2.0:
         raise ValueError(f"khinchine_B is only provided for p <= 2, got {p}")

@@ -224,8 +224,8 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
 
 
 def rademacher_moment(a: Sequence[float], p: float) -> float:
-    """Exact (E |sum a_n r_n|^p)^(1/p) over the 2^N sign patterns, p > 0."""
-    if not p > 0.0:
+    """Exact (E |sum a_n r_n|^p)^(1/p) over the 2^N sign patterns, finite p > 0."""
+    if not 0.0 < p < np.inf:
         raise ValueError(f"p must be > 0, got {p}")
     sums = rademacher_sums(a)
     return float(np.mean(np.abs(sums) ** p) ** (1.0 / p))

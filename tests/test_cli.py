@@ -1,11 +1,15 @@
 import json
+import math
+import os
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bhbounds import verify
+from bhbounds import cli, verify
 from bhbounds.cli import main
+from bhbounds.constants import SchemeId, table
 from bhbounds.forms import load_form
 
 
@@ -113,6 +117,58 @@ class TestTable:
         assert [line.split() for line in text.strip().splitlines()] == [
             line.split(",") for line in lines
         ]
+
+    @pytest.mark.parametrize(
+        "m_min, m_max, schemes",
+        [(2048, 2050, "classic"), (9990, 10000, "new,cor52,classic,cor52-complex,dsp-complex")],
+    )
+    @pytest.mark.parametrize("precision", [0, 52])
+    def test_json_is_the_one_document(self, capsys, m_min, m_max, schemes, precision):
+        # The document written whole, built here from the library table.
+        tab = table(m_min, m_max, tuple(SchemeId(token) for token in schemes.split(",")))
+        rows = []
+        for m, row in tab.rows:
+            values = {}
+            for scheme, cons in zip(tab.schemes, row):
+                if math.isfinite(cons.value):
+                    entry = {"value": float(format(cons.value, f".{precision}f"))}
+                else:
+                    entry = {"value": None, "log2": cons.log2_value}
+                exact = cons.exact_exponent
+                pair = None if exact is None else [exact.numerator, exact.denominator]
+                entry["exact_log2"] = pair
+                if cons.prefactor is not None:
+                    entry["prefactor"] = float(format(cons.prefactor, f".{precision}f"))
+                values[scheme.value] = entry
+            rows.append({"m": m, "values": values})
+        doc = {"schemes": schemes.split(","), "precision": precision, "rows": rows}
+        code, out, _ = run_cli(
+            capsys, "table", "--m-min", str(m_min), "--m-max", str(m_max),
+            "--schemes", schemes, "--precision", str(precision), "--format", "json",
+        )
+        assert code == 0
+        assert out == json.dumps(doc, allow_nan=False) + "\n"
+        if schemes == "classic":
+            assert '"value": null, "log2": 1024.0' in out
+        else:
+            assert '"prefactor": ' in out
+
+    def test_json_memory_is_bounded_by_rows(self, monkeypatch):
+        import tracemalloc
+
+        # The table is built beforehand: only its rendering is under test.
+        tab = table(2, 20001)
+        monkeypatch.setattr(cli, "table", lambda *args: tab)
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                assert main(["table", "--m-min", "2", "--m-max", "20001", "--format", "json"]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # The 20,000 rows built as one document take about 30 MB.
+        assert peak < 2**20
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--m-max", "14")

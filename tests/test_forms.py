@@ -530,3 +530,9 @@ class TestMultipleSumming:
             multiple_summing_lhs(form, [np.eye(3), np.eye(3)], 4 / 3)
         with pytest.raises(ValueError):
             multiple_summing_lhs(form, [np.eye(2)], 4 / 3)
+
+    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
+    def test_exponent_rejected(self, p):
+        form = MultilinearForm(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
+            multiple_summing_lhs(form, [np.eye(2), np.eye(2)], p)

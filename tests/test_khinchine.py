@@ -47,6 +47,8 @@ class TestLnGamma:
             ln_gamma(0.0)
         with pytest.raises(ValueError):
             ln_gamma(-1.3)
+        with pytest.raises(ValueError, match="ln_gamma requires x > 0, got nan"):
+            ln_gamma(math.nan)
 
 
 class TestCrossover:
@@ -118,6 +120,10 @@ class TestKhinchineB:
             khinchine_B(2.5)
         with pytest.raises(ValueError):
             khinchine_B(0.0)
+        with pytest.raises(ValueError, match="khinchine_B requires p > 0, got nan"):
+            khinchine_B(math.nan)
+        with pytest.raises(ValueError, match="only provided for p <= 2, got inf"):
+            khinchine_B(math.inf)
 
 
 class TestA2r:

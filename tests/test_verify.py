@@ -45,7 +45,7 @@ class TestRademacherSums:
         with pytest.raises(ValueError):
             rademacher_sums(np.ones(21))
 
-    @pytest.mark.parametrize("p", [0.0, -1.0, -0.5, math.nan])
+    @pytest.mark.parametrize("p", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_moment_rejects_nonpositive_p(self, p):
         with pytest.raises(ValueError, match="p must be > 0"):
             rademacher_moment([1.0, 2.0], p)
