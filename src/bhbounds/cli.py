@@ -122,7 +122,8 @@ def _table_lines(tab: ConstantsTable, precision: int) -> Iterator[list[str]]:
 
 
 # Each renderer yields finished pieces of its output, newlines included, and
-# cmd_table writes each piece as it comes, so no format is built whole.
+# cmd_table writes each piece as it comes.  Only the text table keeps every
+# cell, to pad each column to its widest.
 def _render_table_text(tab: ConstantsTable, precision: int) -> Iterator[str]:
     lines = list(_table_lines(tab, precision))
     widths = [max(len(cells[i]) for cells in lines) for i in range(len(lines[0]))]

@@ -13,6 +13,7 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -24,7 +25,7 @@ Scalar = Union[int, float, Fraction]
 
 @dataclass(frozen=True)
 class BleiParams:
-    """Exponent triple (q, s1, s2) with q, s1, s2 >= 1 and q > max(s1, s2)."""
+    """Exponent triple (q, s1, s2) with q, s1, s2 >= 1 and finite q > max(s1, s2)."""
 
     q: Scalar
     s1: Scalar
@@ -35,6 +36,8 @@ class BleiParams:
             raise ValueError(f"exponents must be >= 1, got {self}")
         if not (self.q > self.s1 and self.q > self.s2):
             raise ValueError(f"q must exceed max(s1, s2), got {self}")
+        if not self.q < math.inf:  # then so are s1 and s2
+            raise ValueError(f"exponents must be finite, got {self}")
 
 
 def blei_w(params: BleiParams) -> Scalar:

@@ -175,7 +175,10 @@ def from_interchange(doc: dict) -> MultilinearForm:
     # Not a bool, string or nested list.
     if type(coeffs) is not list or any(type(c) not in (int, float) for c in coeffs):
         raise ValueError("interchange 'coeffs' must be a flat list of numbers")
-    return form_from_flat(doc["m"], doc["N"], coeffs)
+    try:
+        return form_from_flat(doc["m"], doc["N"], coeffs)
+    except OverflowError:  # an int past the float range
+        raise ValueError("interchange 'coeffs' must be within the float range") from None
 
 
 def dump_form(form: MultilinearForm, path: Union[str, Path], seed: Optional[int] = None) -> None:

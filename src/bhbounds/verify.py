@@ -17,11 +17,13 @@ array arithmetic, and each trial's PCG64 takes its row of state words.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -220,6 +222,8 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
         raise ValueError(
             f"N = {arr.size} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
         )
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite")
     return _signed_sums(arr)
 
 
@@ -265,6 +269,8 @@ def check_blei(matrix: Sequence[Sequence[float]], q: float, s1: float, s2: float
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not np.all(mat > 0.0):
         raise ValueError("matrix entries must be strictly positive")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     params = BleiParams(q, s1, s2)
     w = float(blei_w(params))
     f12 = float(blei_f(params))
@@ -304,6 +310,8 @@ def check_rademacher_tensor(Y: Sequence, r: float) -> dict:
         raise ValueError(
             f"m*N = {m * n} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
         )
+    if not np.isfinite(tensor).all():
+        raise ValueError("tensor entries must be finite")
     lhs = float(np.linalg.norm(tensor.ravel()))
     values = _chaos_values(tensor)
     moment = float(np.mean(np.abs(values) ** r) ** (1.0 / r))
@@ -334,62 +342,35 @@ def _run(
     suite: str,
     count: int,
     seed: int,
-    block: Callable[[range, Iterator[np.random.Generator]], tuple],
+    trials: Callable[[Iterator[np.random.Generator]], Iterable[tuple]],
     failure_dir: Optional[Path] = None,
-    block_size: int = _SEED_BLOCK,
 ) -> VerificationReport:
     """Run ``count`` trials, each on its own (seed, index) generator.
 
-    ``block(indices, rngs)`` runs the trials in ``indices`` (at most
-    ``block_size`` of them), taking their generators in order from
-    ``rngs``, and returns arrays of their margins, ratios and outcomes,
-    and a function from a failing trial's position in the block to its
-    form.  The report keeps the minimum margin and the maximum ratio,
-    skipping NaN; each trial that does not hold is counted and its form
-    dumped to ``failure_dir``.
+    ``trials(rngs)`` yields one ``(margin, ratio, holds, form or None)``
+    per trial, in index order, taking each trial's generator in turn from
+    ``rngs``.  The report keeps the minimum margin and the maximum ratio:
+    the running values are never NaN, so ``min`` and ``max`` skip a NaN
+    trial.  Each trial that does not hold is counted and its form dumped
+    to ``failure_dir`` under its index.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > _MAX_TRIALS:
         raise ValueError(f"count must be <= 2^32, got {count}")
-    failures = 0
-    worst_margin = np.inf
-    max_ratio = 0.0
-    rngs = _trial_rngs(seed, count)
-    for first in range(0, count, block_size):
-        indices = range(first, min(first + block_size, count))
-        margins, ratios, holds, form = block(indices, rngs)
-        worst_margin = np.fmin.reduce(margins, initial=worst_margin)
-        max_ratio = np.fmax.reduce(ratios, initial=max_ratio)
-        for j in np.flatnonzero(~holds):
+    failures, worst_margin, max_ratio = 0, math.inf, 0.0
+    for i, (margin, ratio, holds, form) in enumerate(trials(_trial_rngs(seed, count))):
+        worst_margin = min(worst_margin, margin)
+        max_ratio = max(max_ratio, ratio)
+        if not holds:
             failures += 1
-            _dump_failure(failure_dir, suite, indices[j], form(j), seed)
-    return VerificationReport(
-        suite=suite,
-        trials=count,
-        failures=failures,
-        worst_margin=float(worst_margin),
-        max_ratio=float(max_ratio),
-        seed=seed,
-    )
+            _dump_failure(failure_dir, suite, i, form, seed)
+    return VerificationReport(suite, count, failures, float(worst_margin), float(max_ratio), seed)
 
 
-def _per_trial(trial: Callable[[np.random.Generator, int], tuple]) -> Callable:
-    """A ``_run`` block from ``trial(rng, i) -> (margin, ratio, holds, form or None)``.
-
-    Only failing trials' forms are kept.
-    """
-
-    def block(indices, rngs):
-        results = []
-        # zip stops at the end of indices before it takes another generator.
-        for i, rng in zip(indices, rngs):
-            margin, ratio, holds, form = trial(rng, i)
-            results.append((margin, ratio, holds, None if holds else form))
-        margins, ratios, holds, forms = zip(*results)
-        return np.array(margins), np.array(ratios), np.array(holds), forms.__getitem__
-
-    return block
+def _each(trial: Callable[[np.random.Generator, int], tuple]) -> Callable:
+    """``_run`` trials from ``trial(rng, i) -> (margin, ratio, holds, form or None)``."""
+    return lambda rngs: map(trial, rngs, itertools.count())
 
 
 def _bh_ratios(tensors: np.ndarray) -> np.ndarray:
@@ -428,18 +409,20 @@ def run_bh_trials(
     """
     check_budget(m, N)
     bound = constant(scheme, m).value
-
-    def block(indices, rngs):
-        tensors = np.empty((len(indices),) + (N,) * m)
-        for j, (i, rng) in enumerate(zip(indices, rngs)):
-            tensors[j] = _draw_tensor(rng, m, N, sign_entries=i % 2 == 0)
-        ratios = _bh_ratios(tensors)
-        # Negated '>' so that a NaN ratio is not counted as a failure.
-        holds = ~(ratios > bound * (1.0 + REL_SLACK))
-        return bound - ratios, ratios, holds, lambda j: MultilinearForm(tensors[j])
-
+    limit = bound * (1.0 + REL_SLACK)
     block_size = max(1, _BH_BLOCK_COEFFS // N**m)
-    return _run("bh", count, seed, block, failure_dir, block_size)
+
+    def trials(rngs):
+        for first in range(0, count, block_size):
+            tensors = np.empty((min(block_size, count - first),) + (N,) * m)
+            for j, rng in enumerate(itertools.islice(rngs, len(tensors))):
+                tensors[j] = _draw_tensor(rng, m, N, sign_entries=(first + j) % 2 == 0)
+            for tensor, ratio in zip(tensors, _bh_ratios(tensors).tolist()):
+                # Negated '>' so that a NaN ratio is not counted as a failure.
+                holds = not ratio > limit
+                yield bound - ratio, ratio, holds, None if holds else MultilinearForm(tensor)
+
+    return _run("bh", count, seed, trials, failure_dir)
 
 
 def check_multiple_summing(
@@ -466,6 +449,7 @@ def check_multiple_summing(
         )
     p = float(bh_exponent(m))
     bound = constant(scheme, m).value
+    limit = bound * (1.0 + REL_SLACK)
 
     def trial(rng, i):
         form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
@@ -475,9 +459,9 @@ def check_multiple_summing(
             families.append(mat / weak_l1_norm(mat))
         lhs = multiple_summing_lhs(form, families, p)
         ratio = lhs / sup_norm_exact(form)
-        return bound - ratio, ratio, not ratio > bound * (1.0 + REL_SLACK), form
+        return bound - ratio, ratio, not ratio > limit, form
 
-    return _run("summing", count, seed, _per_trial(trial), failure_dir)
+    return _run("summing", count, seed, _each(trial), failure_dir)
 
 
 def search_extremal(
@@ -586,7 +570,7 @@ def run_khinchine_suite(
         ratio = max(res["lhs"] / res["mid"], res["mid"] / res["rhs"])
         return margin, ratio, res["holds"], None
 
-    return _run("khinchine", count, seed, _per_trial(trial))
+    return _run("khinchine", count, seed, _each(trial))
 
 
 def run_kcc_suite(
@@ -609,7 +593,7 @@ def run_kcc_suite(
         p, r = pairs[i % len(pairs)]
         return _lhs_rhs(check_kcc(a, p, r))
 
-    return _run("kcc", count, seed, _per_trial(trial))
+    return _run("kcc", count, seed, _each(trial))
 
 
 def run_blei_suite(
@@ -626,7 +610,7 @@ def run_blei_suite(
         s2 = 1.0 + rng.uniform(0.0, 0.95) * (q - 1.0)
         return _lhs_rhs(check_blei(mat, q, s1, s2))
 
-    return _run("blei", count, seed, _per_trial(trial))
+    return _run("blei", count, seed, _each(trial))
 
 
 def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
@@ -640,4 +624,4 @@ def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
         r = r_values[i % len(r_values)]
         return _lhs_rhs(check_rademacher_tensor(tensor, r))
 
-    return _run("tensor", count, seed, _per_trial(trial))
+    return _run("tensor", count, seed, _each(trial))

@@ -29,6 +29,8 @@ class TestBleiW:
             BleiParams(F(4, 3), F(4, 3), F(1))
         with pytest.raises(ValueError):
             BleiParams(F(2), F(1, 2), F(1))
+        with pytest.raises(ValueError, match="^exponents must be finite"):
+            BleiParams(float("inf"), 1.5, 1.5)
 
 
 class TestBleiF:

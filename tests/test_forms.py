@@ -149,6 +149,11 @@ class TestInterchange:
             ({}, r"^interchange document lacks 'm'$"),
             ({"m": 2, "N": 2}, r"^interchange document lacks 'coeffs'$"),
             ([1, 2], r"^interchange document must be a JSON object, got list$"),
+            # An int past the float range; float() would raise OverflowError.
+            (
+                {"m": 1, "N": 1, "coeffs": [10**400]},
+                r"^interchange 'coeffs' must be within the float range$",
+            ),
         ]:
             with pytest.raises(ValueError, match=message):
                 from_interchange(doc)

@@ -6,7 +6,14 @@ import pytest
 
 from bhbounds import forms, verify
 from bhbounds.constants import SchemeId, constant
-from bhbounds.forms import MultilinearForm, bh_lhs, sup_norm_exact
+from bhbounds.exponents import bh_exponent
+from bhbounds.forms import (
+    MultilinearForm,
+    bh_lhs,
+    multiple_summing_lhs,
+    sup_norm_exact,
+    weak_l1_norm,
+)
 from bhbounds.khinchine import haagerup_crossover, khinchine_A, khinchine_A2r
 from bhbounds.verify import (
     check_blei,
@@ -44,6 +51,9 @@ class TestRademacherSums:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             rademacher_sums(np.ones(21))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                rademacher_sums([1.0, bad])
 
     @pytest.mark.parametrize("p", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_moment_rejects_nonpositive_p(self, p):
@@ -82,6 +92,9 @@ class TestCheckKhinchine:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             check_khinchine(np.ones(22), 1.5)
+        # inf <= inf would hold vacuously.
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            check_khinchine([1.0, math.inf], 1.5)
 
 
 class TestCheckKcc:
@@ -108,6 +121,8 @@ class TestCheckKcc:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             check_kcc([1.0], 1.0, 1.5)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            check_kcc([1.0, math.inf], 2.0, 1.0)
 
 
 class TestCheckBlei:
@@ -138,10 +153,16 @@ class TestCheckBlei:
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValueError):
             check_blei([[1.0, 0.0]], 2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^matrix entries must be strictly positive$"):
+            check_blei([[1.0, math.nan]], 2.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            check_blei([[1.0, math.inf], [3.0, 1.0]], 3.0, 1.5, 1.5)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
             check_blei([[1.0]], 1.5, 1.5, 1.0)
+        with pytest.raises(ValueError, match="^exponents must be finite"):
+            check_blei([[1.0, 2.0], [3.0, 1.0]], math.inf, 1.5, 1.5)
 
 
 class TestCheckRademacherTensor:
@@ -173,6 +194,9 @@ class TestCheckRademacherTensor:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             check_rademacher_tensor(np.ones((2,) * 11), 1.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^tensor entries must be finite$"):
+                check_rademacher_tensor([[1.0, bad], [0.0, 1.0]], 1.5)
 
 
 class TestRunBhTrials:
@@ -635,6 +659,121 @@ class TestBlockedBhRatios:
             tracemalloc.stop()
         # One unblocked stack of these draws alone is 3000 * 6^4 * 8 B = 31 MB.
         assert peak < 8 * 2**20
+
+
+def _draw(rng, i, shape):
+    """A suite's tensor draw: signs at even trial indices, normals at odd."""
+    if i % 2 == 0:
+        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
+    return rng.standard_normal(shape)
+
+
+def _khinchine_trial(rng, i):
+    a = rng.standard_normal(int(rng.integers(1, 13)))
+    res = check_khinchine(a, (1.0, 4.0 / 3.0, 1.5, 1.8, 2.0)[i % 5])
+    margin = min(res["mid"] - res["lhs"], res["rhs"] - res["mid"])
+    return margin, max(res["lhs"] / res["mid"], res["mid"] / res["rhs"]), res["holds"]
+
+
+def _kcc_trial(rng, i):
+    a = rng.standard_normal(int(rng.integers(1, 13)))
+    pairs = ((2.0, 4.0 / 3.0), (2.0, 1.0), (1.5, 1.0), (4.0 / 3.0, 4.0 / 3.0), (1.8, 1.5))
+    res = check_kcc(a, *pairs[i % 5])
+    return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"]
+
+
+def _blei_trial(rng, i):
+    mat = rng.uniform(0.05, 2.0, size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+    q = 1.0 + rng.uniform(0.2, 3.0)
+    s1 = 1.0 + rng.uniform(0.0, 0.95) * (q - 1.0)
+    s2 = 1.0 + rng.uniform(0.0, 0.95) * (q - 1.0)
+    res = check_blei(mat, q, s1, s2)
+    return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"]
+
+
+def _tensor_trial(rng, i):
+    m, n = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    res = check_rademacher_tensor(_draw(rng, i, (n,) * m), (1.0, 4.0 / 3.0, 1.5, 2.0)[i % 4])
+    return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"]
+
+
+def _summing_trial(rng, i, m=3, n=2, j=2):
+    form = MultilinearForm(_draw(rng, i, (n,) * m))
+    families = []
+    for _ in range(m):
+        mat = rng.standard_normal((j, n))
+        families.append(mat / weak_l1_norm(mat))
+    ratio = multiple_summing_lhs(form, families, float(bh_exponent(m))) / sup_norm_exact(form)
+    bound = constant(SchemeId.NEW_REAL, m).value
+    return bound - ratio, ratio, ratio <= bound * (1.0 + verify.REL_SLACK)
+
+
+class TestOneTrialProtocol:
+    """Every suite's report is a plain loop over default_rng((seed, i))."""
+
+    # khinchine's count crosses a seeding block.
+    @pytest.mark.parametrize(
+        "suite,count,run,trial",
+        [
+            ("khinchine", 4100, lambda c, s: run_khinchine_suite(count=c, seed=s), _khinchine_trial),
+            ("kcc", 300, lambda c, s: run_kcc_suite(count=c, seed=s), _kcc_trial),
+            ("blei", 300, lambda c, s: run_blei_suite(count=c, seed=s), _blei_trial),
+            ("tensor", 300, lambda c, s: run_tensor_suite(count=c, seed=s), _tensor_trial),
+            ("summing", 300, lambda c, s: check_multiple_summing(3, 2, 2, c, s), _summing_trial),
+        ],
+    )
+    def test_report_equals_per_trial_loop(self, suite, count, run, trial):
+        seed = 11
+        failures, worst_margin, max_ratio = 0, math.inf, 0.0
+        for i in range(count):
+            margin, ratio, holds = trial(np.random.default_rng((seed, i)), i)
+            failures += not holds
+            worst_margin = min(worst_margin, margin)
+            max_ratio = max(max_ratio, ratio)
+        expected = verify.VerificationReport(suite, count, failures, worst_margin, max_ratio, seed)
+        assert run(count, seed) == expected
+
+    @pytest.mark.parametrize("run", [run_khinchine_suite, run_kcc_suite])
+    def test_failing_theorem_trial_is_counted_and_dumps_nothing(self, monkeypatch, run):
+        # B_p = 1/2 is below every A_p >= 1/sqrt(2), so every trial fails.
+        monkeypatch.setattr(verify, "khinchine_B", lambda p: 0.5)
+        dumped = []
+        monkeypatch.setattr(verify, "dump_form", lambda *args, **kwargs: dumped.append(args))
+        report = run(count=40, seed=2)
+        assert report.failures == 40
+        assert report.worst_margin < 0
+        assert dumped == []
+
+    def test_nan_ratio_is_skipped_and_not_a_failure(self, monkeypatch, tmp_path):
+        real = verify._bh_ratios
+
+        def nan_for_normals(tensors):
+            ratios = real(tensors)
+            ratios[~(np.abs(tensors) == 1.0).reshape(len(tensors), -1).all(axis=1)] = math.nan
+            return ratios
+
+        monkeypatch.setattr(verify, "_bh_ratios", nan_for_normals)
+        # Blocks of 151 (2, 2) trials, an odd number: the draws' parity must
+        # follow the trial index across blocks, not the row of a block.
+        monkeypatch.setattr(verify, "_BH_BLOCK_COEFFS", 151 * 4)
+        # Half the sign tensors reach sqrt(2), past the complex bound 2/sqrt(pi).
+        seed, count, scheme = 1, 400, SchemeId.DSP_COMPLEX
+        report = run_bh_trials(2, 2, count, seed, scheme=scheme, failure_dir=tmp_path)
+        bound = constant(scheme, 2).value
+        tensors, ratios = {}, {}
+        for i in range(0, count, 2):
+            tensors[i] = _draw(np.random.default_rng((seed, i)), i, (2, 2))
+            form = MultilinearForm(tensors[i])
+            ratios[i] = bh_lhs(form) / sup_norm_exact(form)
+        failing = [i for i, r in ratios.items() if r > bound * (1.0 + verify.REL_SLACK)]
+        assert report.max_ratio == max(ratios.values())
+        assert report.worst_margin == min(bound - r for r in ratios.values())
+        assert report.failures == len(failing) > 0
+        dumps = sorted(tmp_path.iterdir())
+        assert sorted(path.name for path in dumps) == sorted(f"bh_failure_{i}.json" for i in failing)
+        for path in dumps:
+            i = int(path.stem.rsplit("_", 1)[1])
+            assert np.array_equal(forms.load_form(path).coeffs, tensors[i])
 
 
 def test_import_leaves_numpy_random_unloaded():
