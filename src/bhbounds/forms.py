@@ -64,6 +64,7 @@ DEFAULT_BUDGET_BITS = 24
 MAX_TENSOR_ENTRIES = 1 << 20
 # numpy 1.x arrays have at most 32 axes, and a block of trials adds one.
 _MAX_ARITY = 31
+_OVERFLOW = "a computed side is not finite: the inputs overflow the float range"
 
 
 class BudgetExceededError(ValueError):
@@ -327,17 +328,29 @@ def sup_norm_lower(form: MultilinearForm, restarts: int = 8, seed: int = 0) -> f
     return best
 
 
+def _lp_sums(rows: np.ndarray, p: float) -> list:
+    """(sum |x|^p)^(1/p) for each item x along axis 0 of ``rows``.
+
+    Rounding: numpy's elementwise power; each item's powers summed pairwise in
+    memory order, the same bits alone or in a stack; each root libm's pow on a
+    Python float (numpy's array power can differ by 1 ulp).  ValueError if a
+    sum overflows."""
+    powers = np.abs(rows)
+    powers **= p
+    sums = np.add.reduce(powers, axis=tuple(range(1, powers.ndim)))
+    if not np.isfinite(sums).all():
+        raise ValueError(_OVERFLOW)
+    return [s ** (1.0 / p) for s in sums.tolist()]
+
+
 def bh_lhs(form: MultilinearForm) -> float:
-    """Coefficient norm (sum |T|^(2m/(m+1)))^((m+1)/(2m))."""
-    p = float(bh_exponent(form.m))
-    return float((np.abs(form.coeffs) ** p).sum() ** (1.0 / p))
+    """Coefficient norm (sum |T|^(2m/(m+1)))^((m+1)/(2m)); ValueError if it overflows."""
+    return _lp_sums(form.coeffs[None], float(bh_exponent(form.m)))[0]
 
 
 def bh_ratio(form: MultilinearForm) -> float:
-    """Coefficient norm over the exact operator norm.
-
-    The result is a certified lower bound on the arity-m constant.
-    """
+    """Coefficient norm over the exact operator norm, a certified lower bound
+    on the arity-m constant; ValueError for the zero form or an overflow."""
     if not np.any(form.coeffs):
         raise ValueError("the zero form has no ratio")
     return bh_lhs(form) / sup_norm_exact(form)
@@ -359,21 +372,16 @@ def multiple_summing_lhs(
     """Mixed p-sum of |T(x_{j1}, ..., x_{jm})| over all family tuples.
 
     With canonical-basis families and p = 2m/(m+1) this reduces to
-    ``bh_lhs``.
+    ``bh_lhs``.  ValueError if the sum overflows.
     """
     if not 1.0 <= p < np.inf:
         raise ValueError(f"p must be >= 1, got {p}")
     if len(families) != form.m:
         raise ValueError(f"expected {form.m} families, got {len(families)}")
-    mats = []
+    values = form.coeffs
     for family in families:
         mat = _family_matrix(family)
         if mat.shape[1] != form.N:
-            raise ValueError(
-                f"family vectors must have length {form.N}, got {mat.shape[1]}"
-            )
-        mats.append(mat)
-    values = form.coeffs
-    for mat in mats:
+            raise ValueError(f"family vectors must have length {form.N}, got {mat.shape[1]}")
         values = np.tensordot(values, mat, axes=(0, 1))
-    return float((np.abs(values) ** p).sum() ** (1.0 / p))
+    return _lp_sums(values[None], p)[0]

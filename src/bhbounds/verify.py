@@ -34,7 +34,9 @@ from .forms import (
     MAX_TENSOR_ENTRIES,
     BudgetExceededError,
     MultilinearForm,
+    _OVERFLOW,
     _exact_norm,
+    _lp_sums,
     _sign_products,
     bh_ratio,
     check_budget,
@@ -201,18 +203,6 @@ def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
             yield np.random.Generator(np.random.PCG64(given(words)))
 
 
-def _signed_sums(values: np.ndarray) -> np.ndarray:
-    """All 2^K sums of +-values[k] over axis 0 (length K), as a new last axis.
-
-    Built by doubling: each row extends the previous partial sums by
-    +-row, so the full table costs O(2^K) adds.
-    """
-    sums = np.zeros(values.shape[1:] + (1,))
-    for row in values:
-        sums = np.concatenate([sums + row[..., None], sums - row[..., None]], axis=-1)
-    return sums
-
-
 def rademacher_sums(a: Sequence[float]) -> np.ndarray:
     """All 2^N values of sum_n a_n s_n over sign patterns s, in O(2^N) adds."""
     arr = np.asarray(a, dtype=float)
@@ -224,15 +214,29 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
         )
     if not np.isfinite(arr).all():
         raise ValueError("coefficients must be finite")
-    return _signed_sums(arr)
+    return _chaos_values(arr)
+
+
+def _moment(values: np.ndarray, p: float) -> float:
+    """(mean |v|^p)^(1/p) of a 1-D array: numpy's power, pairwise mean, scalar root."""
+    mean = np.mean(np.abs(values) ** p)
+    if not math.isfinite(mean):
+        raise ValueError(_OVERFLOW)
+    return float(mean ** (1.0 / p))
 
 
 def rademacher_moment(a: Sequence[float], p: float) -> float:
     """Exact (E |sum a_n r_n|^p)^(1/p) over the 2^N sign patterns, finite p > 0."""
     if not 0.0 < p < np.inf:
         raise ValueError(f"p must be > 0, got {p}")
-    sums = rademacher_sums(a)
-    return float(np.mean(np.abs(sums) ** p) ** (1.0 / p))
+    return _moment(rademacher_sums(a), p)
+
+
+def _holds(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs within REL_SLACK; ValueError when a side is not finite."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(_OVERFLOW)
+    return lhs <= rhs * (1.0 + REL_SLACK)
 
 
 def check_khinchine(a: Sequence[float], p: float) -> dict:
@@ -244,8 +248,7 @@ def check_khinchine(a: Sequence[float], p: float) -> dict:
     mid = rademacher_moment(arr, p)
     lhs = khinchine_A(p).value * l2
     rhs = khinchine_B(p) * l2
-    holds = lhs <= mid * (1.0 + REL_SLACK) and mid <= rhs * (1.0 + REL_SLACK)
-    return {"lhs": lhs, "mid": mid, "rhs": rhs, "holds": holds}
+    return {"lhs": lhs, "mid": mid, "rhs": rhs, "holds": _holds(lhs, mid) and _holds(mid, rhs)}
 
 
 def check_kcc(a: Sequence[float], p: float, r: float) -> dict:
@@ -254,8 +257,7 @@ def check_kcc(a: Sequence[float], p: float, r: float) -> dict:
         raise ValueError(f"need 0 < r <= p <= 2, got p={p}, r={r}")
     lhs = rademacher_moment(a, p)
     rhs = khinchine_B(p) / khinchine_A(r).value * rademacher_moment(a, r)
-    holds = lhs <= rhs * (1.0 + REL_SLACK)
-    return {"lhs": lhs, "rhs": rhs, "holds": holds}
+    return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
 
 
 def check_blei(matrix: Sequence[Sequence[float]], q: float, s1: float, s2: float) -> dict:
@@ -275,25 +277,28 @@ def check_blei(matrix: Sequence[Sequence[float]], q: float, s1: float, s2: float
     w = float(blei_w(params))
     f12 = float(blei_f(params))
     f21 = float(blei_f(params, reverse=True))
-    lhs = float((mat**w).sum() ** (1.0 / w))
+    lhs = _lp_sums(mat[None], w)[0]
     row_norms = (mat**q).sum(axis=1) ** (1.0 / q)
     col_norms = (mat**q).sum(axis=0) ** (1.0 / q)
     rhs = float(
         (row_norms**s1).sum() ** (f12 / s1) * (col_norms**s2).sum() ** (f21 / s2)
     )
-    holds = lhs <= rhs * (1.0 + REL_SLACK)
-    return {"lhs": lhs, "rhs": rhs, "holds": holds}
+    return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
 
 
 def _chaos_values(tensor: np.ndarray) -> np.ndarray:
     """Contractions of a tensor with every tuple of sign vectors.
 
-    Slot k is replaced by all 2^N sign choices via doubling; the result
-    has one axis of length 2^N per slot, 2^(mN) values in total.
+    Each slot in turn becomes a last axis of its 2^N signed sums, built by
+    doubling (each row extends the partial sums by +-row, O(2^N) adds): 2^(mN)
+    values in all, which for a vector are its Rademacher sums.
     """
     values = tensor
     for _ in range(tensor.ndim):
-        values = _signed_sums(values)
+        sums = np.zeros(values.shape[1:] + (1,))
+        for row in values:
+            sums = np.concatenate([sums + row[..., None], sums - row[..., None]], axis=-1)
+        values = sums
     return values.ravel()
 
 
@@ -313,11 +318,8 @@ def check_rademacher_tensor(Y: Sequence, r: float) -> dict:
     if not np.isfinite(tensor).all():
         raise ValueError("tensor entries must be finite")
     lhs = float(np.linalg.norm(tensor.ravel()))
-    values = _chaos_values(tensor)
-    moment = float(np.mean(np.abs(values) ** r) ** (1.0 / r))
-    rhs = khinchine_A2r(r) ** m * moment
-    holds = lhs <= rhs * (1.0 + REL_SLACK)
-    return {"lhs": lhs, "rhs": rhs, "holds": holds}
+    rhs = khinchine_A2r(r) ** m * _moment(_chaos_values(tensor), r)
+    return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
 
 
 def _draw_tensor(rng: np.random.Generator, m: int, n: int, sign_entries: bool) -> np.ndarray:
@@ -374,18 +376,10 @@ def _each(trial: Callable[[np.random.Generator, int], tuple]) -> Callable:
 
 
 def _bh_ratios(tensors: np.ndarray) -> np.ndarray:
-    """``bh_lhs(T) / sup_norm_exact(T)`` for each T of a (B, N, ..., N) stack.
-
-    One exact-norm call per tensor; the coefficient norms' power sums in
-    one pass over the stack, whose row sums match ``bh_lhs``'s.  Each root
-    is taken on a Python float: an array power can differ by 1 ulp.
-    """
-    p = float(bh_exponent(tensors.ndim - 1))
+    """``bh_lhs(T) / sup_norm_exact(T)`` for each T of a (B, N, ..., N) stack:
+    one exact-norm call per tensor, one ``_lp_sums`` call for the stack."""
     norms = [sup_norm_exact(MultilinearForm(t)) for t in tensors]
-    powers = np.abs(tensors.reshape(len(tensors), -1))
-    powers **= p
-    sums = powers.sum(axis=1)
-    return np.array([s ** (1.0 / p) for s in sums.tolist()]) / norms
+    return np.array(_lp_sums(tensors, float(bh_exponent(tensors.ndim - 1)))) / norms
 
 
 def _lhs_rhs(res: dict) -> tuple[float, float, bool, None]:
@@ -453,12 +447,9 @@ def check_multiple_summing(
 
     def trial(rng, i):
         form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
-        families = []
-        for _ in range(m):
-            mat = rng.standard_normal((J, N))
-            families.append(mat / weak_l1_norm(mat))
-        lhs = multiple_summing_lhs(form, families, p)
-        ratio = lhs / sup_norm_exact(form)
+        mats = [rng.standard_normal((J, N)) for _ in range(m)]
+        families = [mat / weak_l1_norm(mat) for mat in mats]
+        ratio = multiple_summing_lhs(form, families, p) / sup_norm_exact(form)
         return bound - ratio, ratio, not ratio > limit, form
 
     return _run("summing", count, seed, _each(trial), failure_dir)

@@ -312,10 +312,11 @@ class TestVerify:
 
     def test_negative_seed_exit_2(self, capsys):
         for command in ("verify", "search"):
-            code, out, err = run_cli(capsys, command, "--seed", "-1")
-            assert code == 2
-            assert out == ""
-            assert "argument --seed: must be >= 0, got -1" in err
+            for seed, message in (("-1", "must be >= 0, got -1"), ("abc", "invalid int value: 'abc'")):
+                code, out, err = run_cli(capsys, command, "--seed", seed)
+                assert code == 2
+                assert out == ""
+                assert f"argument --seed: {message}" in err
 
     def test_full_battery_green(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "7")

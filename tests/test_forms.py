@@ -28,6 +28,8 @@ from bhbounds.forms import (
 )
 
 LITTLEWOOD = np.array([[1.0, 1.0], [1.0, -1.0]])
+# A finite input whose sum overflows is refused, never decided.
+OVERFLOW = "^a computed side is not finite: the inputs overflow the float range$"
 
 
 def basis_form(m, n):
@@ -84,6 +86,8 @@ class TestMultilinearForm:
             MultilinearForm(np.array(1.0))
         with pytest.raises(ValueError):
             MultilinearForm(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="^dimension N must be >= 1$"):
+            MultilinearForm(np.zeros((0, 0)))
 
     def test_immutability(self):
         form = MultilinearForm(LITTLEWOOD)
@@ -411,6 +415,10 @@ class TestSupNormLower:
         b = sup_norm_lower(form, restarts=5, seed=123)
         assert a == b
 
+    def test_restarts_rejected(self):
+        with pytest.raises(ValueError, match="^restarts must be >= 1, got 0$"):
+            sup_norm_lower(MultilinearForm(LITTLEWOOD), restarts=0)
+
 
 class TestBhLhs:
     def test_littlewood(self):
@@ -471,6 +479,17 @@ class TestBhRatio:
     def test_zero_tensor_rejected(self):
         with pytest.raises(ValueError):
             bh_ratio(MultilinearForm(np.zeros((2, 2))))
+
+    def test_overflow_rejected(self, tmp_path):
+        # Finite entries whose coefficient norm overflows against a finite
+        # operator norm of 2e300: the ratio inf is no lower bound.
+        form = MultilinearForm(1e300 * LITTLEWOOD)
+        assert sup_norm_exact(form) == 2e300
+        path = tmp_path / "big.json"
+        dump_form(form, path)
+        for call in (bh_lhs, bh_ratio, lambda f: bh_ratio(load_form(path))):
+            with pytest.raises(ValueError, match=OVERFLOW):
+                call(form)
 
 
 class TestWeakL1:
@@ -535,6 +554,11 @@ class TestMultipleSumming:
             multiple_summing_lhs(form, [np.eye(3), np.eye(3)], 4 / 3)
         with pytest.raises(ValueError):
             multiple_summing_lhs(form, [np.eye(2)], 4 / 3)
+
+    def test_overflow_rejected(self):
+        family = 1e300 * np.eye(2)
+        with pytest.raises(ValueError, match=OVERFLOW):
+            multiple_summing_lhs(MultilinearForm(LITTLEWOOD), [family, family], 4 / 3)
 
     @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
     def test_exponent_rejected(self, p):

@@ -33,6 +33,8 @@ from bhbounds.verify import (
 from bhbounds.forms import BudgetExceededError
 
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
+# A finite input whose sum, moment or side overflows is refused, never decided.
+OVERFLOW = "^a computed side is not finite: the inputs overflow the float range$"
 
 
 class TestRademacherSums:
@@ -54,6 +56,13 @@ class TestRademacherSums:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="^coefficients must be finite$"):
                 rademacher_sums([1.0, bad])
+        with pytest.raises(ValueError, match="^expected a coefficient vector, got shape"):
+            rademacher_sums(np.ones((2, 2)))
+
+    def test_moment_overflow_rejected(self):
+        # The mean of |S|^2 overflows: it returned inf.
+        with pytest.raises(ValueError, match=OVERFLOW):
+            rademacher_moment([1e300, 1e300], 2.0)
 
     @pytest.mark.parametrize("p", [0.0, -1.0, -0.5, math.nan, math.inf])
     def test_moment_rejects_nonpositive_p(self, p):
@@ -95,6 +104,14 @@ class TestCheckKhinchine:
         # inf <= inf would hold vacuously.
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             check_khinchine([1.0, math.inf], 1.5)
+        for p in (0.0, -1.0, 2.5, math.nan):
+            with pytest.raises(ValueError, match="^p must be in \\(0, 2\\]"):
+                check_khinchine([1.0, 2.0], p)
+        # Finite inputs: every side overflowed (inf <= inf held), or only the
+        # l2 norm did (a false counterexample).
+        for a in ([1e308, 1e308], [1e200, 1e200]):
+            with pytest.raises(ValueError, match=OVERFLOW):
+                check_khinchine(a, 1.5)
 
 
 class TestCheckKcc:
@@ -123,6 +140,9 @@ class TestCheckKcc:
             check_kcc([1.0], 1.0, 1.5)
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             check_kcc([1.0, math.inf], 2.0, 1.0)
+        # The p-moment overflows but the r-moment does not: a false counterexample.
+        with pytest.raises(ValueError, match=OVERFLOW):
+            check_kcc([1e300, 1e300], 2.0, 1.0)
 
 
 class TestCheckBlei:
@@ -157,6 +177,12 @@ class TestCheckBlei:
             check_blei([[1.0, math.nan]], 2.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             check_blei([[1.0, math.inf], [3.0, 1.0]], 3.0, 1.5, 1.5)
+        with pytest.raises(ValueError, match="^expected a matrix, got shape"):
+            check_blei([1.0, 2.0], 3.0, 1.5, 1.5)
+        # Both sides overflow, or only the right one: each held vacuously.
+        for mat in ([[1e300, 1.0]], [[1e120, 1.0]]):
+            with pytest.raises(ValueError, match=OVERFLOW):
+                check_blei(mat, 3.0, 1.5, 1.5)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -197,6 +223,16 @@ class TestCheckRademacherTensor:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^tensor entries must be finite$"):
                 check_rademacher_tensor([[1.0, bad], [0.0, 1.0]], 1.5)
+        with pytest.raises(ValueError, match="^tensor must be a hypercube"):
+            check_rademacher_tensor(np.ones((2, 3)), 1.5)
+        for r in (0.5, 2.5, math.nan):
+            with pytest.raises(ValueError, match="^r must be in \\[1, 2\\]"):
+                check_rademacher_tensor(np.ones((2, 2)), r)
+        # Both sides overflow (inf <= inf held), or only the Frobenius norm
+        # does (a false counterexample).
+        for tensor, r in ((np.full((2, 2), 1e300), 1.5), (np.full((2, 2), 1e160), 1.0)):
+            with pytest.raises(ValueError, match=OVERFLOW):
+                check_rademacher_tensor(tensor, r)
 
 
 class TestRunBhTrials:
@@ -601,6 +637,10 @@ class TestTrialStreams:
             assert rngs[i].bit_generator.state == expected.bit_generator.state
             assert rngs[i].standard_normal(3).tolist() == expected.standard_normal(3).tolist()
             assert rngs[i].integers(0, 2, size=8).tolist() == expected.integers(0, 2, size=8).tolist()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            run_khinchine_suite(count=1, seed=-1)
 
     def test_search_restarts_bound(self):
         with pytest.raises(ValueError, match="restarts"):
