@@ -133,7 +133,7 @@ FamilyLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
 def _family_matrix(family: FamilyLike) -> np.ndarray:
     arr = np.asarray(family, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1:
+    if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"family must be a nonempty (J, N) array, got shape {arr.shape}")
     return arr
 

@@ -267,7 +267,7 @@ def check_blei(matrix: Sequence[Sequence[float]], q: float, s1: float, s2: float
     mixed norms with outer exponents f(s1,s2)/s1 and f(s2,s1)/s2.
     """
     mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2:
+    if mat.ndim != 2 or mat.size == 0:
         raise ValueError(f"expected a matrix, got shape {mat.shape}")
     if not np.all(mat > 0.0):
         raise ValueError("matrix entries must be strictly positive")
@@ -303,20 +303,18 @@ def _chaos_values(tensor: np.ndarray) -> np.ndarray:
 
 
 def check_rademacher_tensor(Y: Sequence, r: float) -> dict:
-    """Frobenius norm against the A_{2,r}^m-weighted chaos r-th moment."""
-    tensor = np.asarray(Y, dtype=float)
-    m = tensor.ndim
-    n = tensor.shape[0]
-    if any(s != n for s in tensor.shape):
-        raise ValueError(f"tensor must be a hypercube, got shape {tensor.shape}")
+    """Frobenius norm against the A_{2,r}^m-weighted chaos r-th moment.
+
+    Y is validated as a ``MultilinearForm``'s coefficient tensor.
+    """
+    form = MultilinearForm(Y)
+    m, n, tensor = form.m, form.N, form.coeffs
     if not 1.0 <= r <= 2.0:
         raise ValueError(f"r must be in [1, 2], got {r}")
     if m * n > EXPECTATION_MAX_BITS:
         raise ValueError(
             f"m*N = {m * n} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
         )
-    if not np.isfinite(tensor).all():
-        raise ValueError("tensor entries must be finite")
     lhs = float(np.linalg.norm(tensor.ravel()))
     rhs = khinchine_A2r(r) ** m * _moment(_chaos_values(tensor), r)
     return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -442,3 +443,57 @@ class TestUsage:
             assert code == 2
             assert out == ""
             assert f"argument {flag}: {message}\n" in err
+
+
+_TABLE_60 = ("table", "--m-min", "2", "--m-max", "60",
+             "--schemes", "new,cor52,classic,cor52-complex,dsp-complex", "--format")
+
+
+class TestPinnedBytes:
+    """Bytes pinned on every numpy the package supports (1.24 and 2.x)."""
+
+    @pytest.mark.parametrize("argv, stdout, sha256", [
+        # The search stream. Values from the walk that drew one
+        # integers(0, N, size=m) per proposal.
+        pytest.param(
+            ("search", "--m", "4", "--n", "3", "--restarts", "3", "--iterations", "4500",
+             "--seed", "5", "--out", "best.json"),
+            "ratio=0.8204451193747314 bound=2.0 m=4 n=3 restarts=3 iterations=13500 seed=5\n",
+            {"best.json": "098b4a179655c12b9b7d9623488822ad82073124ee21dd2a9c87da1c10a9299a"},
+            id="search-table-walk",
+        ),
+        # (5, 4) is past the pattern-table cap: every proposal is scored by the kernel.
+        pytest.param(
+            ("search", "--m", "5", "--n", "4", "--restarts", "2", "--iterations", "40",
+             "--seed", "1", "--out", "cap.json"),
+            "ratio=0.5423728813559321 bound=2.2973967099940698 m=5 n=4 restarts=2 iterations=80 seed=1\n",
+            {"cap.json": "2a871947a5f07980ce75c9f1da72e65f40c2aeae3607430b4d4f28ec0dfe6ae4"},
+            id="search-kernel-walk",
+        ),
+        # Every value up to m = 60 is below 10^9, so a last-bit difference in
+        # the host's libm cannot reach the third decimal printed here.
+        pytest.param(
+            (*_TABLE_60, "csv"), None,
+            {"stdout": "9365938623a446bea652d8d14d84e4adebb32bf55de0b892236f1123bfeafc14"},
+            id="table-csv",
+        ),
+        pytest.param(
+            (*_TABLE_60, "json"), None,
+            {"stdout": "8c81e609245875bec5786f302e54d0826757666c77892371b73cf72e3c245570"},
+            id="table-json",
+        ),
+        pytest.param(
+            (*_TABLE_60, "text"), None,
+            {"stdout": "708fc81af7ce07d9b722e36ff3cc1ec85653838646329755149327aa9ef6ef26"},
+            id="table-text",
+        ),
+    ])
+    def test_pinned_bytes(self, capsys, monkeypatch, tmp_path, argv, stdout, sha256):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        if stdout is not None:
+            assert out == stdout
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        written["stdout"] = out.encode()
+        assert {name: hashlib.sha256(written[name]).hexdigest() for name in sha256} == sha256

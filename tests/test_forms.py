@@ -517,8 +517,9 @@ class TestWeakL1:
         assert formula == pytest.approx(max(vertex_values), rel=1e-15)
 
     def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            weak_l1_norm(np.zeros((0, 3)))
+        for family in (np.zeros((0, 3)), np.ones((2, 0))):
+            with pytest.raises(ValueError, match="^family must be a nonempty \\(J, N\\) array"):
+                weak_l1_norm(family)
 
 
 class TestMultipleSumming:

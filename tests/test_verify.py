@@ -177,8 +177,10 @@ class TestCheckBlei:
             check_blei([[1.0, math.nan]], 2.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             check_blei([[1.0, math.inf], [3.0, 1.0]], 3.0, 1.5, 1.5)
-        with pytest.raises(ValueError, match="^expected a matrix, got shape"):
-            check_blei([1.0, 2.0], 3.0, 1.5, 1.5)
+        # Empty matrices held vacuously as 0 <= 0.
+        for mat in ([1.0, 2.0], np.zeros((0, 3)), np.ones((2, 0))):
+            with pytest.raises(ValueError, match="^expected a matrix, got shape"):
+                check_blei(mat, 3.0, 1.5, 1.5)
         # Both sides overflow, or only the right one: each held vacuously.
         for mat in ([[1e300, 1.0]], [[1e120, 1.0]]):
             with pytest.raises(ValueError, match=OVERFLOW):
@@ -225,6 +227,11 @@ class TestCheckRademacherTensor:
                 check_rademacher_tensor([[1.0, bad], [0.0, 1.0]], 1.5)
         with pytest.raises(ValueError, match="^tensor must be a hypercube"):
             check_rademacher_tensor(np.ones((2, 3)), 1.5)
+        # A 0-d array raised IndexError; an empty vector held as 0 <= 0.
+        with pytest.raises(ValueError, match="^coefficient tensor must have at least one axis$"):
+            check_rademacher_tensor(np.array(1.0), 1.5)
+        with pytest.raises(ValueError, match="^dimension N must be >= 1$"):
+            check_rademacher_tensor(np.zeros(0), 2.0)
         for r in (0.5, 2.5, math.nan):
             with pytest.raises(ValueError, match="^r must be in \\[1, 2\\]"):
                 check_rademacher_tensor(np.ones((2, 2)), r)
