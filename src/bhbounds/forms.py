@@ -135,6 +135,8 @@ def _family_matrix(family: FamilyLike) -> np.ndarray:
     arr = np.asarray(family, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"family must be a nonempty (J, N) array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("family entries must be finite")
     return arr
 
 

@@ -521,6 +521,12 @@ class TestWeakL1:
             with pytest.raises(ValueError, match="^family must be a nonempty \\(J, N\\) array"):
                 weak_l1_norm(family)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_family_rejected(self, bad):
+        # NaN gave nan and inf gave inf.
+        with pytest.raises(ValueError, match="^family entries must be finite$"):
+            weak_l1_norm([[bad, 1.0]])
+
 
 class TestMultipleSumming:
     def test_reduces_to_bh_lhs_on_canonical_bases(self):
@@ -560,6 +566,12 @@ class TestMultipleSumming:
         family = 1e300 * np.eye(2)
         with pytest.raises(ValueError, match=OVERFLOW):
             multiple_summing_lhs(MultilinearForm(LITTLEWOOD), [family, family], 4 / 3)
+
+    def test_nonfinite_family_rejected(self):
+        # A NaN family raised the overflow message.
+        family = np.array([[math.nan, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^family entries must be finite$"):
+            multiple_summing_lhs(MultilinearForm(LITTLEWOOD), [np.eye(2), family], 4 / 3)
 
     @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
     def test_exponent_rejected(self, p):

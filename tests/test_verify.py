@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -35,6 +36,8 @@ from bhbounds.forms import BudgetExceededError
 HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 # A finite input whose sum, moment or side overflows is refused, never decided.
 OVERFLOW = "^a computed side is not finite: the inputs overflow the float range$"
+# An empty coefficient vector is refused, never decided as 0 <= 0.
+EMPTY = "^expected a coefficient vector, got shape \\(0,\\)$"
 
 
 class TestRademacherSums:
@@ -58,6 +61,10 @@ class TestRademacherSums:
                 rademacher_sums([1.0, bad])
         with pytest.raises(ValueError, match="^expected a coefficient vector, got shape"):
             rademacher_sums(np.ones((2, 2)))
+        # The empty sum's [0.0] gave a moment of 0.
+        for call in (rademacher_sums, lambda a: rademacher_moment(a, 1.0)):
+            with pytest.raises(ValueError, match=EMPTY):
+                call([])
 
     def test_moment_overflow_rejected(self):
         # The mean of |S|^2 overflows: it returned inf.
@@ -104,6 +111,9 @@ class TestCheckKhinchine:
         # inf <= inf would hold vacuously.
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             check_khinchine([1.0, math.inf], 1.5)
+        # 0 <= 0 <= 0 held vacuously.
+        with pytest.raises(ValueError, match=EMPTY):
+            check_khinchine([], 1.5)
         for p in (0.0, -1.0, 2.5, math.nan):
             with pytest.raises(ValueError, match="^p must be in \\(0, 2\\]"):
                 check_khinchine([1.0, 2.0], p)
@@ -140,6 +150,8 @@ class TestCheckKcc:
             check_kcc([1.0], 1.0, 1.5)
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             check_kcc([1.0, math.inf], 2.0, 1.0)
+        with pytest.raises(ValueError, match=EMPTY):
+            check_kcc([], 2.0, 1.0)
         # The p-moment overflows but the r-moment does not: a false counterexample.
         with pytest.raises(ValueError, match=OVERFLOW):
             check_kcc([1e300, 1e300], 2.0, 1.0)
@@ -603,6 +615,13 @@ class TestSuiteRunners:
     def test_kcc_suite_green(self):
         report = run_kcc_suite(count=100, seed=0)
         assert report.failures == 0
+
+    @pytest.mark.parametrize(
+        "run", [run_khinchine_suite, run_kcc_suite, run_blei_suite, run_tensor_suite]
+    )
+    def test_small_suites_take_count_and_seed(self, run):
+        # Each suite's draw is fixed; only the trial count and the seed vary.
+        assert list(inspect.signature(run).parameters) == ["count", "seed"]
 
     def test_count_below_one_rejected(self):
         with pytest.raises(ValueError, match="count"):
