@@ -38,8 +38,15 @@ expect 2 bhbounds verify --suite khinchine --dump-dir "$RUNNER_TEMP/d"
 expect 2 bhbounds verify --suite bh --j 9 --count 2 2> "$RUNNER_TEMP/stray.txt"
 printf '%s\n' 'error: --suite bh takes only --count, --m, --n, --dump-dir; drop --j' | cmp - "$RUNNER_TEMP/stray.txt"
 bhbounds verify --suite summing --m 2 --n 2 --j 2 --count 3 --dump-dir "$RUNNER_TEMP/s"
-# The budget counts the (m-1)*(N-1) bits the kernel enumerates; the
-# tensor's N^m entries and the summing suite's J^m tuples are capped.
+# The budget counts the (m-1)*(N-1) bits the kernel enumerates, and the
+# tensor's N^m entries are capped.  The summing suite passes both (m, N)
+# and (m, J) through it, since its composed form has J^m coefficients.
 bhbounds verify --suite bh --m 30 --n 1 --count 3
 expect 2 bhbounds verify --suite bh --m 21 --n 2 --count 1
 expect 2 bhbounds verify --suite summing --j 4097 --count 1
+expect 2 bhbounds verify --suite summing --m 2 --j 26 --count 1
+# A reader that closes stdout early is no error: 141 (128 + SIGPIPE, as a
+# shell reports for `yes | head`) and nothing on stderr.
+expect 141 bash -o pipefail -c 'bhbounds table --m-min 2 --m-max 50000 2> "$0" | head -n 1 > /dev/null' \
+  "$RUNNER_TEMP/pipe.txt"
+test ! -s "$RUNNER_TEMP/pipe.txt"

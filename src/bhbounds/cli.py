@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when any inequality check fails, 2 on usage
 or enumeration-budget errors and on an output path that cannot be
-written.  Identical flags and seed give byte-identical output.
+written, 141 (128 + SIGPIPE, as a shell reports for ``yes | head``) when
+stdout is closed early.  Identical flags and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from typing import Callable, Iterator, Optional, Sequence
@@ -275,7 +277,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The unwritten buffer goes to devnull, not to an "Exception ignored" at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # BudgetExceededError; an unwritable path
         print(f"error: {exc}", file=sys.stderr)
         return 2

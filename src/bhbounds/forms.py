@@ -56,8 +56,6 @@ __all__ = [
     "sup_norm_lower",
     "bh_lhs",
     "bh_ratio",
-    "weak_l1_norm",
-    "multiple_summing_lhs",
 ]
 
 DEFAULT_BUDGET_BITS = 24
@@ -65,6 +63,9 @@ MAX_TENSOR_ENTRIES = 1 << 20
 # numpy 1.x arrays have at most 32 axes, and a block of trials adds one.
 _MAX_ARITY = 31
 _OVERFLOW = "a computed side is not finite: the inputs overflow the float range"
+_UNDERFLOW = "a computed side of nonzero inputs is not a normal float: the inputs underflow it"
+# The smallest normal double; a sum of nonzero terms below it has lost bits.
+_TINY = float(np.finfo(float).tiny)
 
 
 class BudgetExceededError(ValueError):
@@ -126,18 +127,6 @@ class MultilinearForm:
     @property
     def N(self) -> int:
         return self.coeffs.shape[0]
-
-
-FamilyLike = Union[np.ndarray, Sequence[Sequence[float]]]
-
-
-def _family_matrix(family: FamilyLike) -> np.ndarray:
-    arr = np.asarray(family, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"family must be a nonempty (J, N) array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("family entries must be finite")
-    return arr
 
 
 def form_from_flat(m: int, N: int, flat: Sequence[float]) -> MultilinearForm:
@@ -336,54 +325,26 @@ def _lp_sums(rows: np.ndarray, p: float) -> list:
     Rounding: numpy's elementwise power; each item's powers summed pairwise in
     memory order, the same bits alone or in a stack; each root libm's pow on a
     Python float (numpy's array power can differ by 1 ulp).  ValueError if a
-    sum overflows."""
+    sum overflows, or if a nonzero item's sum is not a normal float."""
     powers = np.abs(rows)
     powers **= p
     sums = np.add.reduce(powers, axis=tuple(range(1, powers.ndim)))
     if not np.isfinite(sums).all():
         raise ValueError(_OVERFLOW)
+    if (sums < _TINY).any() and rows[sums < _TINY].any():
+        raise ValueError(_UNDERFLOW)
     return [s ** (1.0 / p) for s in sums.tolist()]
 
 
 def bh_lhs(form: MultilinearForm) -> float:
-    """Coefficient norm (sum |T|^(2m/(m+1)))^((m+1)/(2m)); ValueError if it overflows."""
+    """Coefficient norm (sum |T|^(2m/(m+1)))^((m+1)/(2m)); ValueError as in ``_lp_sums``."""
     return _lp_sums(form.coeffs[None], float(bh_exponent(form.m)))[0]
 
 
 def bh_ratio(form: MultilinearForm) -> float:
     """Coefficient norm over the exact operator norm, a certified lower bound
-    on the arity-m constant; ValueError for the zero form or an overflow."""
+    on the arity-m constant; ValueError for the zero form or as in ``bh_lhs``."""
     if not np.any(form.coeffs):
         raise ValueError("the zero form has no ratio")
     return bh_lhs(form) / sup_norm_exact(form)
 
-
-def weak_l1_norm(family: FamilyLike) -> float:
-    """sup over unit dual functionals of sum_j |phi(x_j)|.
-
-    On R^N with the sup norm the dual ball is the l1 ball, whose extreme
-    points are +-e_i, so the sup is the largest per-coordinate l1 mass.
-    """
-    mat = _family_matrix(family)
-    return float(np.abs(mat).sum(axis=0).max())
-
-
-def multiple_summing_lhs(
-    form: MultilinearForm, families: Sequence[FamilyLike], p: float
-) -> float:
-    """Mixed p-sum of |T(x_{j1}, ..., x_{jm})| over all family tuples.
-
-    With canonical-basis families and p = 2m/(m+1) this reduces to
-    ``bh_lhs``.  ValueError if the sum overflows.
-    """
-    if not 1.0 <= p < np.inf:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if len(families) != form.m:
-        raise ValueError(f"expected {form.m} families, got {len(families)}")
-    values = form.coeffs
-    for family in families:
-        mat = _family_matrix(family)
-        if mat.shape[1] != form.N:
-            raise ValueError(f"family vectors must have length {form.N}, got {mat.shape[1]}")
-        values = np.tensordot(values, mat, axes=(0, 1))
-    return _lp_sums(values[None], p)[0]

@@ -30,20 +30,18 @@ import numpy as np
 from .constants import SchemeId, constant
 from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
-    DEFAULT_BUDGET_BITS,
     MAX_TENSOR_ENTRIES,
-    BudgetExceededError,
     MultilinearForm,
     _OVERFLOW,
+    _TINY,
+    _UNDERFLOW,
     _exact_norm,
     _lp_sums,
     _sign_products,
     bh_ratio,
     check_budget,
     dump_form,
-    multiple_summing_lhs,
     sup_norm_exact,
-    weak_l1_norm,
 )
 from .khinchine import khinchine_A, khinchine_A2r, khinchine_B
 
@@ -218,10 +216,13 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
 
 
 def _moment(values: np.ndarray, p: float) -> float:
-    """(mean |v|^p)^(1/p) of a 1-D array: numpy's power, pairwise mean, scalar root."""
+    """(mean |v|^p)^(1/p) of a 1-D array: numpy's power, pairwise mean, scalar root;
+    ValueError if the mean overflows, or is not a normal float for nonzero v."""
     mean = np.mean(np.abs(values) ** p)
     if not math.isfinite(mean):
         raise ValueError(_OVERFLOW)
+    if mean < _TINY and values.any():
+        raise ValueError(_UNDERFLOW)
     return float(mean ** (1.0 / p))
 
 
@@ -232,10 +233,21 @@ def rademacher_moment(a: Sequence[float], p: float) -> float:
     return _moment(rademacher_sums(a), p)
 
 
+def _l2(arr: np.ndarray) -> float:
+    """numpy's l2 norm; ValueError if a nonzero array's sum of squares is subnormal or 0."""
+    norm = float(np.linalg.norm(arr))
+    if norm < math.sqrt(_TINY) and arr.any():
+        raise ValueError(_UNDERFLOW)
+    return norm
+
+
 def _holds(lhs: float, rhs: float) -> bool:
-    """lhs <= rhs within REL_SLACK; ValueError when a side is not finite."""
+    """lhs <= rhs within REL_SLACK; ValueError when a side is not finite, or is
+    not a normal float beside a nonzero side (both are norms of one input)."""
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(_OVERFLOW)
+    if min(lhs, rhs) < _TINY and max(lhs, rhs) > 0.0:
+        raise ValueError(_UNDERFLOW)
     return lhs <= rhs * (1.0 + REL_SLACK)
 
 
@@ -245,7 +257,7 @@ def check_khinchine(a: Sequence[float], p: float) -> dict:
         raise ValueError(f"p must be in (0, 2], got {p}")
     arr = np.asarray(a, dtype=float)
     sums = rademacher_sums(arr)
-    l2 = float(np.linalg.norm(arr))
+    l2 = _l2(arr)
     mid = _moment(sums, p)
     lhs = khinchine_A(p).value * l2
     rhs = khinchine_B(p) * l2
@@ -280,11 +292,14 @@ def check_blei(matrix: Sequence[Sequence[float]], q: float, s1: float, s2: float
     f12 = float(blei_f(params))
     f21 = float(blei_f(params, reverse=True))
     lhs = _lp_sums(mat[None], w)[0]
-    row_norms = (mat**q).sum(axis=1) ** (1.0 / q)
-    col_norms = (mat**q).sum(axis=0) ** (1.0 / q)
-    rhs = float(
-        (row_norms**s1).sum() ** (f12 / s1) * (col_norms**s2).sum() ** (f21 / s2)
-    )
+    powers = mat**q
+    row_sums, col_sums = powers.sum(axis=1), powers.sum(axis=0)
+    # Positive entries: a sum that is not a normal float has underflowed, and
+    # the later sums, of s1 and s2 powers of the q-norms (s < q), cannot.
+    if min(row_sums.min(), col_sums.min()) < _TINY:
+        raise ValueError(_UNDERFLOW)
+    row_norms, col_norms = row_sums ** (1.0 / q), col_sums ** (1.0 / q)
+    rhs = float((row_norms**s1).sum() ** (f12 / s1) * (col_norms**s2).sum() ** (f21 / s2))
     return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
 
 
@@ -317,7 +332,7 @@ def check_rademacher_tensor(Y: Sequence, r: float) -> dict:
         raise ValueError(
             f"m*N = {m * n} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
         )
-    lhs = float(np.linalg.norm(tensor.ravel()))
+    lhs = _l2(tensor.ravel())
     rhs = khinchine_A2r(r) ** m * _moment(_chaos_values(tensor), r)
     return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
 
@@ -387,13 +402,34 @@ def _lhs_rhs(res: dict) -> tuple[float, float, bool, None]:
     return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"], None
 
 
+def _ratio_trials(
+    suite: str, m: int, n: int, count: int, seed: int, scheme: SchemeId,
+    failure_dir: Optional[Path], draw: Callable[[np.random.Generator, int], np.ndarray],
+) -> VerificationReport:
+    """The bh ratio of each trial's (n,)*m tensor ``draw(rng, i)`` against a scheme
+    bound, a block of tensors at a time, after ``check_budget(m, n)``; a failure
+    dumps its tensor."""
+    check_budget(m, n)
+    bound = constant(scheme, m).value
+    limit = bound * (1.0 + REL_SLACK)
+    block_size = max(1, _BH_BLOCK_COEFFS // n**m)
+
+    def trials(rngs):
+        for first in range(0, count, block_size):
+            tensors = np.empty((min(block_size, count - first),) + (n,) * m)
+            for j, rng in enumerate(itertools.islice(rngs, len(tensors))):
+                tensors[j] = draw(rng, first + j)
+            for tensor, ratio in zip(tensors, _bh_ratios(tensors).tolist()):
+                # Negated '>' so that a NaN ratio is not counted as a failure.
+                holds = not ratio > limit
+                yield bound - ratio, ratio, holds, None if holds else MultilinearForm(tensor)
+
+    return _run(suite, count, seed, trials, failure_dir)
+
+
 def run_bh_trials(
-    m: int,
-    N: int,
-    count: int,
-    seed: int,
-    scheme: SchemeId = SchemeId.NEW_REAL,
-    failure_dir: Optional[Path] = None,
+    m: int, N: int, count: int, seed: int,
+    scheme: SchemeId = SchemeId.NEW_REAL, failure_dir: Optional[Path] = None,
 ) -> VerificationReport:
     """Random coefficient-vs-operator-norm trials against a scheme bound.
 
@@ -401,58 +437,30 @@ def run_bh_trials(
     half standard normal entries.  Each ratio is certified by the exact
     norm; a shape past the bit budget is rejected before any draw.
     """
-    check_budget(m, N)
-    bound = constant(scheme, m).value
-    limit = bound * (1.0 + REL_SLACK)
-    block_size = max(1, _BH_BLOCK_COEFFS // N**m)
-
-    def trials(rngs):
-        for first in range(0, count, block_size):
-            tensors = np.empty((min(block_size, count - first),) + (N,) * m)
-            for j, rng in enumerate(itertools.islice(rngs, len(tensors))):
-                tensors[j] = _draw_tensor(rng, m, N, sign_entries=(first + j) % 2 == 0)
-            for tensor, ratio in zip(tensors, _bh_ratios(tensors).tolist()):
-                # Negated '>' so that a NaN ratio is not counted as a failure.
-                holds = not ratio > limit
-                yield bound - ratio, ratio, holds, None if holds else MultilinearForm(tensor)
-
-    return _run("bh", count, seed, trials, failure_dir)
+    return _ratio_trials("bh", m, N, count, seed, scheme, failure_dir,
+                         lambda rng, i: _draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
 
 
 def check_multiple_summing(
-    m: int,
-    N: int,
-    J: int,
-    count: int,
-    seed: int,
-    scheme: SchemeId = SchemeId.NEW_REAL,
-    failure_dir: Optional[Path] = None,
+    m: int, N: int, J: int, count: int, seed: int,
+    scheme: SchemeId = SchemeId.NEW_REAL, failure_dir: Optional[Path] = None,
 ) -> VerificationReport:
-    """Mixed sums over random weak-l1-normalized families vs the bound.
+    """``run_bh_trials`` on T composed with m Gaussian families of J vectors.
 
-    Families are drawn Gaussian and divided by their weak-l1 norm, so the
-    bound reduces to constant(scheme, m) times the exact operator norm.
-    A shape past the bit budget, or with more than 2^DEFAULT_BUDGET_BITS
-    family tuples J^m (each trial holds all their values at once), is
-    rejected before any draw.
+    Each trial's tensor is S[j1, ..., jm] = T(x^1_j1, ..., x^m_jm), with T
+    drawn as in ``run_bh_trials``.  ||S|| <= ||T|| times the families'
+    weak-l1 norms, so a trial that holds also holds the multiple-summing
+    inequality.  (m, N) and then (m, J) pass ``check_budget`` before any draw.
     """
     check_budget(m, N)
-    if J**m > 1 << DEFAULT_BUDGET_BITS:
-        raise BudgetExceededError(
-            f"J^m = {J}^{m} family tuples exceed the cap of {1 << DEFAULT_BUDGET_BITS}"
-        )
-    p = float(bh_exponent(m))
-    bound = constant(scheme, m).value
-    limit = bound * (1.0 + REL_SLACK)
 
-    def trial(rng, i):
-        form = MultilinearForm(_draw_tensor(rng, m, N, sign_entries=i % 2 == 0))
-        mats = [rng.standard_normal((J, N)) for _ in range(m)]
-        families = [mat / weak_l1_norm(mat) for mat in mats]
-        ratio = multiple_summing_lhs(form, families, p) / sup_norm_exact(form)
-        return bound - ratio, ratio, not ratio > limit, form
+    def draw(rng, i):
+        values = _draw_tensor(rng, m, N, sign_entries=i % 2 == 0)
+        for mat in [rng.standard_normal((J, N)) for _ in range(m)]:
+            values = np.tensordot(values, mat, axes=(0, 1))
+        return values
 
-    return _run("summing", count, seed, _each(trial), failure_dir)
+    return _ratio_trials("summing", m, J, count, seed, scheme, failure_dir, draw)
 
 
 def search_extremal(

@@ -429,6 +429,25 @@ class TestUsage:
                 assert out == ""
                 assert f"argument {flag}: must be >= {low}, got {low - 1}\n" in err
 
+    def test_closed_stdout_exit_141(self):
+        # The reader takes one line of a 1.5 MB table and closes the pipe, as
+        # `| head -1` does: 141 (128 + SIGPIPE, as a shell reports for
+        # `yes | head`) and nothing on stderr, where it printed
+        # `error: [Errno 32] Broken pipe` and exited 2.
+        import subprocess
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bhbounds.cli", "table", "--m-min", "2", "--m-max", "5000",
+             "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.readline() == b"m,new,cor52,classic\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
     def test_table_flag_limits_exit_2(self, capsys):
         # Each flag one step past its limit: the error names the flag.
         past = {

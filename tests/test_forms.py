@@ -20,16 +20,16 @@ from bhbounds.forms import (
     form_from_flat,
     from_interchange,
     load_form,
-    multiple_summing_lhs,
     sup_norm_exact,
     sup_norm_lower,
     to_interchange,
-    weak_l1_norm,
 )
 
 LITTLEWOOD = np.array([[1.0, 1.0], [1.0, -1.0]])
 # A finite input whose sum overflows is refused, never decided.
 OVERFLOW = "^a computed side is not finite: the inputs overflow the float range$"
+# So is a nonzero input whose sum underflows: it is not 0, nor a subnormal float.
+UNDERFLOW = "^a computed side of nonzero inputs is not a normal float: the inputs underflow it$"
 
 
 def basis_form(m, n):
@@ -491,90 +491,15 @@ class TestBhRatio:
             with pytest.raises(ValueError, match=OVERFLOW):
                 call(form)
 
-
-class TestWeakL1:
-    def test_single_basis_vector(self):
-        assert weak_l1_norm([[1.0, 0.0, 0.0]]) == 1.0
-
-    def test_repeated_basis_vector(self):
-        assert weak_l1_norm([[1.0, 0.0], [1.0, 0.0]]) == 2.0
-
-    def test_canonical_basis_family(self):
-        assert weak_l1_norm(np.eye(5)) == 1.0
-
-    def test_monte_carlo_dual_ball_never_exceeds(self):
-        rng = np.random.default_rng(13)
-        vectors = rng.standard_normal((4, 6))
-        formula = weak_l1_norm(vectors)
-        # Random functionals in the l1 ball: random signs and weights.
-        raw = rng.standard_normal((100_000, 6))
-        phis = raw / np.abs(raw).sum(axis=1, keepdims=True)
-        phis *= rng.uniform(0.0, 1.0, size=(100_000, 1))
-        sampled = np.abs(phis @ vectors.T).sum(axis=1)
-        assert sampled.max() <= formula + 1e-9
-        # The sup is attained on the coordinate functionals.
-        vertex_values = [np.abs(vectors[:, i]).sum() for i in range(6)]
-        assert formula == pytest.approx(max(vertex_values), rel=1e-15)
-
-    def test_empty_family_rejected(self):
-        for family in (np.zeros((0, 3)), np.ones((2, 0))):
-            with pytest.raises(ValueError, match="^family must be a nonempty \\(J, N\\) array"):
-                weak_l1_norm(family)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_family_rejected(self, bad):
-        # NaN gave nan and inf gave inf.
-        with pytest.raises(ValueError, match="^family entries must be finite$"):
-            weak_l1_norm([[bad, 1.0]])
-
-
-class TestMultipleSumming:
-    def test_reduces_to_bh_lhs_on_canonical_bases(self):
-        rng = np.random.default_rng(14)
-        form = MultilinearForm(rng.standard_normal((3, 3)))
-        p = float(bh_exponent(2))
-        value = multiple_summing_lhs(form, [np.eye(3), np.eye(3)], p)
-        assert value == pytest.approx(bh_lhs(form), rel=1e-14)
-
-    def test_zero_families(self):
-        form = MultilinearForm(np.ones((2, 2)))
-        zero = np.zeros((1, 2))
-        assert multiple_summing_lhs(form, [zero, zero], 1.5) == 0.0
-
-    def test_against_double_loop_oracle(self):
-        rng = np.random.default_rng(15)
-        form = MultilinearForm(rng.standard_normal((3, 3)))
-        fam1 = rng.standard_normal((4, 3))
-        fam2 = rng.standard_normal((2, 3))
-        p = 1.7
-        total = 0.0
-        for j1 in range(4):
-            for j2 in range(2):
-                total += abs(evaluate(form, [fam1[j1], fam2[j2]])) ** p
-        assert multiple_summing_lhs(form, [fam1, fam2], p) == pytest.approx(
-            total ** (1 / p), rel=1e-12
-        )
-
-    def test_shape_mismatch_rejected(self):
-        form = MultilinearForm(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            multiple_summing_lhs(form, [np.eye(3), np.eye(3)], 4 / 3)
-        with pytest.raises(ValueError):
-            multiple_summing_lhs(form, [np.eye(2)], 4 / 3)
-
-    def test_overflow_rejected(self):
-        family = 1e300 * np.eye(2)
-        with pytest.raises(ValueError, match=OVERFLOW):
-            multiple_summing_lhs(MultilinearForm(LITTLEWOOD), [family, family], 4 / 3)
-
-    def test_nonfinite_family_rejected(self):
-        # A NaN family raised the overflow message.
-        family = np.array([[math.nan, 1.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="^family entries must be finite$"):
-            multiple_summing_lhs(MultilinearForm(LITTLEWOOD), [np.eye(2), family], 4 / 3)
-
-    @pytest.mark.parametrize("p", [0.5, math.inf, math.nan])
-    def test_exponent_rejected(self, p):
-        form = MultilinearForm(np.ones((2, 2)))
-        with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
-            multiple_summing_lhs(form, [np.eye(2), np.eye(2)], p)
+    def test_underflow_rejected(self):
+        # Every |entry|^(4/3) rounds to 0 (they returned 0.0), or to a
+        # subnormal float with fewer bits.
+        for scale in (1e-250, 1e-234):
+            form = MultilinearForm(scale * LITTLEWOOD)
+            for call in (bh_lhs, bh_ratio):
+                with pytest.raises(ValueError, match=UNDERFLOW):
+                    call(form)
+        # A zero tensor keeps its zero norm, and a tiny entry beside a unit
+        # one is no underflow.
+        assert bh_lhs(MultilinearForm(np.zeros((2, 2)))) == 0.0
+        assert bh_lhs(MultilinearForm(np.array([[1.0, 1e-300], [0.0, 0.0]]))) == 1.0

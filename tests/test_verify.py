@@ -7,14 +7,7 @@ import pytest
 
 from bhbounds import forms, verify
 from bhbounds.constants import SchemeId, constant
-from bhbounds.exponents import bh_exponent
-from bhbounds.forms import (
-    MultilinearForm,
-    bh_lhs,
-    multiple_summing_lhs,
-    sup_norm_exact,
-    weak_l1_norm,
-)
+from bhbounds.forms import MultilinearForm, bh_lhs, bh_ratio, evaluate, load_form, sup_norm_exact
 from bhbounds.khinchine import haagerup_crossover, khinchine_A, khinchine_A2r
 from bhbounds.verify import (
     check_blei,
@@ -38,6 +31,9 @@ HALF_SQRT2 = 1.0 / math.sqrt(2.0)
 OVERFLOW = "^a computed side is not finite: the inputs overflow the float range$"
 # An empty coefficient vector is refused, never decided as 0 <= 0.
 EMPTY = "^expected a coefficient vector, got shape \\(0,\\)$"
+# So is a nonzero input whose sum, moment or side underflows to 0 or to a
+# subnormal float.
+UNDERFLOW = "^a computed side of nonzero inputs is not a normal float: the inputs underflow it$"
 
 
 class TestRademacherSums:
@@ -252,6 +248,53 @@ class TestCheckRademacherTensor:
         for tensor, r in ((np.full((2, 2), 1e300), 1.5), (np.full((2, 2), 1e160), 1.0)):
             with pytest.raises(ValueError, match=OVERFLOW):
                 check_rademacher_tensor(tensor, r)
+
+
+class TestUnderflow:
+    """A nonzero input whose sum, moment or side underflows is refused;
+    a zero input keeps its zero sides."""
+
+    TINY = [1e-170, 1e-170]
+
+    def test_khinchine(self):
+        # The l2 norm rounded to 0: a false counterexample. At 1e-160 it
+        # kept the bits of a subnormal sum of squares.
+        for a in (self.TINY, [1e-160, 1e-160]):
+            with pytest.raises(ValueError, match=UNDERFLOW):
+                check_khinchine(a, 1.5)
+        zero = {"lhs": 0.0, "mid": 0.0, "rhs": 0.0, "holds": True}
+        assert check_khinchine([0.0, 0.0], 1.5) == zero
+
+    def test_kcc_and_moment(self):
+        # The 2-moment rounded to 0, so 0 <= rhs held.
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            check_kcc(self.TINY, 2.0, 1.0)
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            rademacher_moment(self.TINY, 2.0)
+        assert check_kcc([0.0, 0.0], 2.0, 1.0) == {"lhs": 0.0, "rhs": 0.0, "holds": True}
+        assert rademacher_moment([0.0, 0.0], 2.0) == 0.0
+
+    def test_rademacher_tensor(self):
+        # The Frobenius norm rounded to 0, so 0 <= rhs held.
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            check_rademacher_tensor(np.full((2, 2), 1e-170), 1.5)
+        res = check_rademacher_tensor(np.zeros((2, 2)), 1.5)
+        assert res == {"lhs": 0.0, "rhs": 0.0, "holds": True}
+
+    def test_blei(self):
+        # Both sides rounded to 0, so 0 <= 0 held; at 1e-105 the row and
+        # column sums were subnormal and the check failed, a false
+        # counterexample.
+        for mat in ([[1e-300, 1e-300]], [[1e-105, 1e-105]]):
+            with pytest.raises(ValueError, match=UNDERFLOW):
+                check_blei(mat, 3.0, 1.5, 1.5)
+
+    def test_side_beside_a_nonzero_side(self):
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            verify._holds(0.0, 1.0)
+        with pytest.raises(ValueError, match=UNDERFLOW):
+            verify._holds(1.0, 5e-324)
+        assert verify._holds(0.0, 0.0)
 
 
 class TestRunBhTrials:
@@ -567,8 +610,15 @@ class TestBudgetBeforeDraw:
         assert gated == [(2, 0)] * 3
 
     def test_summing_family_tuples(self):
-        with pytest.raises(BudgetExceededError, match=r"^J\^m = 4097\^2 family tuples"):
+        # The composed form has J^m coefficients, so (m, J) passes
+        # check_budget as (m, N) does.
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^\(m-1\)\*\(N-1\) = 4096 sign bits exceed the budget of 24$",
+        ):
             check_multiple_summing(2, 2, 4097, 1, seed=0)
+        with pytest.raises(BudgetExceededError, match=r"^\(m-1\)\*\(N-1\) = 25 sign bits"):
+            check_multiple_summing(2, 2, 26, 1, seed=0)
 
 
 class TestCheckMultipleSumming:
@@ -576,28 +626,38 @@ class TestCheckMultipleSumming:
         report = check_multiple_summing(2, 2, 3, 300, seed=0)
         assert report.failures == 0
 
-    def test_canonical_families_reduce_to_bh(self):
-        # With canonical bases the mixed sum is the coefficient norm, so
-        # the margin matches the plain ratio trials.
-        rng = np.random.default_rng(1)
-        form = MultilinearForm(rng.standard_normal((2, 2)))
-        from bhbounds.exponents import bh_exponent
-        from bhbounds.forms import multiple_summing_lhs
+    def test_composed_form_against_evaluate(self, monkeypatch):
+        # Every entry of a trial's S is T at that tuple of family vectors.
+        m, n, j = 3, 2, 4
+        seen = []
+        real = verify._bh_ratios
+        monkeypatch.setattr(verify, "_bh_ratios", lambda t: seen.append(t) or real(t))
+        check_multiple_summing(m, n, j, 2, seed=5)
+        for i in range(2):
+            rng = np.random.default_rng((5, i))
+            form = MultilinearForm(_draw(rng, i, (n,) * m))
+            families = [rng.standard_normal((j, n)) for _ in range(m)]
+            composed = seen[0][i]
+            assert composed.shape == (j,) * m
+            for idx in itertools.product(range(j), repeat=m):
+                value = evaluate(form, [fam[k] for fam, k in zip(families, idx)])
+                assert composed[idx] == pytest.approx(value, rel=1e-12, abs=1e-12)
 
-        lhs = multiple_summing_lhs(form, [np.eye(2), np.eye(2)], float(bh_exponent(2)))
-        assert lhs == pytest.approx(bh_lhs(form), rel=1e-14)
-
-    def test_scaled_families_scale_lhs(self):
-        rng = np.random.default_rng(2)
-        form = MultilinearForm(rng.standard_normal((2, 2)))
-        from bhbounds.exponents import bh_exponent
-        from bhbounds.forms import multiple_summing_lhs
-
-        fams = [rng.standard_normal((3, 2)) for _ in range(2)]
-        p = float(bh_exponent(2))
-        full = multiple_summing_lhs(form, fams, p)
-        halved = multiple_summing_lhs(form, [0.5 * f for f in fams], p)
-        assert halved == pytest.approx(full * 0.25, rel=1e-12)
+    def test_failures_dump_the_composed_form(self, tmp_path):
+        # The complex bound 2/sqrt(pi) is below sqrt(2), which a real (2, 2)
+        # composed form can reach.
+        report = check_multiple_summing(
+            2, 2, 2, 400, 1, scheme=SchemeId.DSP_COMPLEX, failure_dir=tmp_path
+        )
+        assert report.failures == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["summing_failure_18.json"]
+        rng = np.random.default_rng((1, 18))
+        composed = _draw(rng, 18, (2, 2))
+        for _ in range(2):
+            composed = np.tensordot(composed, rng.standard_normal((2, 2)), axes=(0, 1))
+        dumped = load_form(tmp_path / "summing_failure_18.json")
+        assert np.array_equal(dumped.coeffs, composed)
+        assert bh_ratio(dumped) == report.max_ratio
 
     def test_deterministic_json(self):
         a = check_multiple_summing(2, 2, 3, 50, seed=3).to_json()
@@ -764,12 +824,12 @@ def _tensor_trial(rng, i):
 
 
 def _summing_trial(rng, i, m=3, n=2, j=2):
-    form = MultilinearForm(_draw(rng, i, (n,) * m))
-    families = []
+    # T, then the m families, composed into the (j,)*m form S.
+    composed = _draw(rng, i, (n,) * m)
     for _ in range(m):
-        mat = rng.standard_normal((j, n))
-        families.append(mat / weak_l1_norm(mat))
-    ratio = multiple_summing_lhs(form, families, float(bh_exponent(m))) / sup_norm_exact(form)
+        composed = np.tensordot(composed, rng.standard_normal((j, n)), axes=(0, 1))
+    form = MultilinearForm(composed)
+    ratio = bh_lhs(form) / sup_norm_exact(form)
     bound = constant(SchemeId.NEW_REAL, m).value
     return bound - ratio, ratio, ratio <= bound * (1.0 + verify.REL_SLACK)
 
@@ -788,7 +848,9 @@ class TestOneTrialProtocol:
             ("summing", 300, lambda c, s: check_multiple_summing(3, 2, 2, c, s), _summing_trial),
         ],
     )
-    def test_report_equals_per_trial_loop(self, suite, count, run, trial):
+    def test_report_equals_per_trial_loop(self, monkeypatch, suite, count, run, trial):
+        # summing's (3, 2, 2) forms have 8 coefficients: blocks of 128 trials.
+        monkeypatch.setattr(verify, "_BH_BLOCK_COEFFS", 8 * 128)
         seed = 11
         failures, worst_margin, max_ratio = 0, math.inf, 0.0
         for i in range(count):
