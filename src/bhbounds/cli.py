@@ -64,7 +64,7 @@ _BATTERY = (
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
 # The largest table row: `table --m-max 100000` already takes 4 to 5 s and
-# up to 145 MB on a 2 vCPU Xeon in any format, and the cost grows with m.
+# about 109 MB on a 2 vCPU Xeon in any format, and the cost grows with m.
 _TABLE_M_MAX = 100_000
 
 # Every table value and prefactor is at least 1, a double with at most 52
@@ -124,12 +124,13 @@ def _table_lines(tab: ConstantsTable, precision: int) -> Iterator[list[str]]:
 
 
 # Each renderer yields finished pieces of its output, newlines included, and
-# cmd_table writes each piece as it comes.  Only the text table keeps every
-# cell, to pad each column to its widest.
+# cmd_table writes each piece as it comes.  The text table formats its cells
+# twice: a first pass keeps only each column's widest, to pad the second.
 def _render_table_text(tab: ConstantsTable, precision: int) -> Iterator[str]:
-    lines = list(_table_lines(tab, precision))
-    widths = [max(len(cells[i]) for cells in lines) for i in range(len(lines[0]))]
-    for cells in lines:
+    widths = [0] * (1 + len(tab.schemes))
+    for cells in _table_lines(tab, precision):
+        widths = [max(w, len(v)) for w, v in zip(widths, cells)]
+    for cells in _table_lines(tab, precision):
         yield "  ".join(v.rjust(w) for v, w in zip(cells, widths)) + "\n"
 
 
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="dimension, bh and summing (default 2)")
     p_verify.add_argument("--j", type=_at_least(1), default=None,
                           help="family size, summing only (default 3)")
-    p_verify.add_argument("--count", type=int, default=None)
+    p_verify.add_argument("--count", type=_at_least(1, at_most=1 << 32), default=None)
     p_verify.add_argument("--seed", type=_at_least(0), default=0)
     p_verify.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_verify.add_argument("--dump-dir", default=None, dest="dump_dir",

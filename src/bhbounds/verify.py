@@ -206,10 +206,6 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a coefficient vector, got shape {arr.shape}")
-    if arr.size > EXPECTATION_MAX_BITS:
-        raise ValueError(
-            f"N = {arr.size} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
-        )
     if not np.isfinite(arr).all():
         raise ValueError("coefficients must be finite")
     return _chaos_values(arr)
@@ -308,8 +304,13 @@ def _chaos_values(tensor: np.ndarray) -> np.ndarray:
 
     Each slot in turn becomes a last axis of its 2^N signed sums, built by
     doubling (each row extends the partial sums by +-row, O(2^N) adds): 2^(mN)
-    values in all, which for a vector are its Rademacher sums.
+    values in all, which for a vector are its Rademacher sums.  ValueError,
+    before anything is allocated, when the m*N sign bits pass EXPECTATION_MAX_BITS.
     """
+    bits = tensor.ndim * tensor.shape[0]
+    if bits > EXPECTATION_MAX_BITS:
+        raise ValueError(f"m*N = {bits} is over the exact-expectation cap of "
+                         f"{EXPECTATION_MAX_BITS}")
     values = tensor
     for _ in range(tensor.ndim):
         sums = np.zeros(values.shape[1:] + (1,))
@@ -325,13 +326,9 @@ def check_rademacher_tensor(Y: Sequence, r: float) -> dict:
     Y is validated as a ``MultilinearForm``'s coefficient tensor.
     """
     form = MultilinearForm(Y)
-    m, n, tensor = form.m, form.N, form.coeffs
+    m, tensor = form.m, form.coeffs
     if not 1.0 <= r <= 2.0:
         raise ValueError(f"r must be in [1, 2], got {r}")
-    if m * n > EXPECTATION_MAX_BITS:
-        raise ValueError(
-            f"m*N = {m * n} is over the exact-expectation cap of {EXPECTATION_MAX_BITS}"
-        )
     lhs = _l2(tensor.ravel())
     rhs = khinchine_A2r(r) ** m * _moment(_chaos_values(tensor), r)
     return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
@@ -359,34 +356,29 @@ def _run(
     suite: str,
     count: int,
     seed: int,
-    trials: Callable[[Iterator[np.random.Generator]], Iterable[tuple]],
-    failure_dir: Optional[Path] = None,
+    trials: Callable[[Iterator[np.random.Generator]], Iterable[tuple[float, float, bool]]],
 ) -> VerificationReport:
     """Run ``count`` trials, each on its own (seed, index) generator.
 
-    ``trials(rngs)`` yields one ``(margin, ratio, holds, form or None)``
-    per trial, in index order, taking each trial's generator in turn from
-    ``rngs``.  The report keeps the minimum margin and the maximum ratio:
-    the running values are never NaN, so ``min`` and ``max`` skip a NaN
-    trial.  Each trial that does not hold is counted and its form dumped
-    to ``failure_dir`` under its index.
+    ``trials(rngs)`` yields one ``(margin, ratio, holds)`` per trial, in
+    index order, taking each trial's generator in turn from ``rngs``; each
+    ``holds`` is a ``_holds`` verdict.  The report counts the trials that do
+    not hold and keeps the minimum margin and the maximum ratio.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count > _MAX_TRIALS:
         raise ValueError(f"count must be <= 2^32, got {count}")
     failures, worst_margin, max_ratio = 0, math.inf, 0.0
-    for i, (margin, ratio, holds, form) in enumerate(trials(_trial_rngs(seed, count))):
+    for margin, ratio, holds in trials(_trial_rngs(seed, count)):
         worst_margin = min(worst_margin, margin)
         max_ratio = max(max_ratio, ratio)
-        if not holds:
-            failures += 1
-            _dump_failure(failure_dir, suite, i, form, seed)
+        failures += not holds
     return VerificationReport(suite, count, failures, float(worst_margin), float(max_ratio), seed)
 
 
 def _each(trial: Callable[[np.random.Generator, int], tuple]) -> Callable:
-    """``_run`` trials from ``trial(rng, i) -> (margin, ratio, holds, form or None)``."""
+    """``_run`` trials from ``trial(rng, i) -> (margin, ratio, holds)``."""
     return lambda rngs: map(trial, rngs, itertools.count())
 
 
@@ -397,9 +389,10 @@ def _bh_ratios(tensors: np.ndarray) -> np.ndarray:
     return np.array(_lp_sums(tensors, float(bh_exponent(tensors.ndim - 1)))) / norms
 
 
-def _lhs_rhs(res: dict) -> tuple[float, float, bool, None]:
-    """Margin, ratio and outcome of a one-sided ``check_*`` result."""
-    return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"], None
+def _lhs_rhs(res: dict) -> tuple[float, float, bool]:
+    """The ``_run`` trial of a one-sided ``check_*`` result: rhs - lhs, lhs / rhs
+    and its ``_holds`` verdict."""
+    return res["rhs"] - res["lhs"], res["lhs"] / res["rhs"], res["holds"]
 
 
 def _ratio_trials(
@@ -407,11 +400,10 @@ def _ratio_trials(
     failure_dir: Optional[Path], draw: Callable[[np.random.Generator, int], np.ndarray],
 ) -> VerificationReport:
     """The bh ratio of each trial's (n,)*m tensor ``draw(rng, i)`` against a scheme
-    bound, a block of tensors at a time, after ``check_budget(m, n)``; a failure
-    dumps its tensor."""
+    bound by ``_holds``, a block of tensors at a time, after ``check_budget(m, n)``;
+    a failing trial dumps its tensor to ``failure_dir`` under its index."""
     check_budget(m, n)
     bound = constant(scheme, m).value
-    limit = bound * (1.0 + REL_SLACK)
     block_size = max(1, _BH_BLOCK_COEFFS // n**m)
 
     def trials(rngs):
@@ -419,12 +411,13 @@ def _ratio_trials(
             tensors = np.empty((min(block_size, count - first),) + (n,) * m)
             for j, rng in enumerate(itertools.islice(rngs, len(tensors))):
                 tensors[j] = draw(rng, first + j)
-            for tensor, ratio in zip(tensors, _bh_ratios(tensors).tolist()):
-                # Negated '>' so that a NaN ratio is not counted as a failure.
-                holds = not ratio > limit
-                yield bound - ratio, ratio, holds, None if holds else MultilinearForm(tensor)
+            for j, ratio in enumerate(_bh_ratios(tensors).tolist()):
+                holds = _holds(ratio, bound)
+                if not holds:
+                    _dump_failure(failure_dir, suite, first + j, MultilinearForm(tensors[j]), seed)
+                yield bound - ratio, ratio, holds
 
-    return _run(suite, count, seed, trials, failure_dir)
+    return _run(suite, count, seed, trials)
 
 
 def run_bh_trials(
@@ -562,7 +555,7 @@ def run_khinchine_suite(count: int = 100, seed: int = 0) -> VerificationReport:
         res = check_khinchine(a, exponents[i % len(exponents)])
         margin = min(res["mid"] - res["lhs"], res["rhs"] - res["mid"])
         ratio = max(res["lhs"] / res["mid"], res["mid"] / res["rhs"])
-        return margin, ratio, res["holds"], None
+        return margin, ratio, res["holds"]
 
     return _run("khinchine", count, seed, _each(trial))
 

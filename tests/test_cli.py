@@ -154,7 +154,8 @@ class TestTable:
         else:
             assert '"prefactor": ' in out
 
-    def test_json_memory_is_bounded_by_rows(self, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_json_memory_is_bounded_by_rows(self, monkeypatch, fmt):
         import tracemalloc
 
         # The table is built beforehand: only its rendering is under test.
@@ -164,12 +165,24 @@ class TestTable:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()
             try:
-                assert main(["table", "--m-min", "2", "--m-max", "20001", "--format", "json"]) == 0
+                assert main(["table", "--m-min", "2", "--m-max", "20001", "--format", fmt]) == 0
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        # The 20,000 rows built as one document take about 30 MB.
+        # The 20,000 rows built as one JSON document take about 30 MB, and
+        # the text table's cells kept to pad its columns 8.3 MB.
         assert peak < 2**20
+
+    def test_text_pads_to_a_widest_cell_before_the_last_row(self, capsys):
+        # m = 2048 is classic's last finite value, 2^1023.5 with 309 digits;
+        # the overflowed rows after it print the shorter 2^<log2>.
+        code, out, _ = run_cli(capsys, "table", "--m-min", "2040", "--m-max", "2060",
+                               "--schemes", "classic")
+        assert code == 0
+        lines = out.splitlines()
+        rows = dict(line.split() for line in lines[1:])
+        assert rows["2049"].startswith("2^") and len(rows["2048"]) == 309 + 4
+        assert {len(line) for line in lines} == {len("2060") + 2 + 309 + 4}
 
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--m-max", "14")
@@ -187,19 +200,39 @@ class TestVerify:
         assert "failures=0" in out
         assert "max_ratio=1.41" in out
 
-    def test_budget_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--suite", "bh", "--m", "5", "--n", "8")
-        assert code == 2
-        assert "budget" in err
+    @pytest.mark.parametrize("args, env, message", [
+        (("bh", "--m", "5", "--n", "8"), None, "= 28 sign bits exceed the budget of 24\n"),
+        # The exact-norm budget is fixed: the environment does not widen it.
+        (("bh", "--m", "5", "--n", "8"), "40", "= 28 sign bits exceed the budget of 24\n"),
+        # Within the bit budget, but over the tensor's entry cap.
+        (("bh", "--m", "21", "--n", "2"), None, "N^m = 2097152 entries exceed the cap"),
+        # summing's composed form has J^m coefficients: (m, J) passes the budget too.
+        (("summing", "--j", "4097"), None, "= 4096 sign bits exceed the budget of 24\n"),
+        (("summing", "--m", "2", "--j", "26"), None, "= 25 sign bits exceed the budget of 24\n"),
+    ], ids=["bh-m5-n8", "bh-m5-n8-env", "bh-m21-n2", "summing-j4097", "summing-m2-j26"])
+    def test_budget_exit_2(self, capsys, monkeypatch, args, env, message):
+        if env is not None:
+            monkeypatch.setenv("BH_BUDGET_BITS", env)
+        code, out, err = run_cli(capsys, "verify", "--suite", *args, "--count", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+
+    def test_one_entry_forms_run(self, capsys):
+        # Arity past the bit budget's reach is fine when N = 1: one entry.
+        code, out, err = run_cli(capsys, "verify", "--suite", "bh", "--m", "30", "--n", "1",
+                                 "--count", "3")
+        assert (code, err) == (0, "")
+        assert out.startswith("suite=bh trials=3 failures=0 ")
 
     def test_nonpositive_count_exit_2(self, capsys):
-        for count in ("0", "-3"):
+        for count, message in (("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
+                               (str(2**32 + 1), f"must be <= {2**32}, got {2**32 + 1}")):
             code, out, err = run_cli(
                 capsys, "verify", "--suite", "khinchine", "--count", count, "--format", "json"
             )
             assert code == 2
             assert out == ""
-            assert "count must be >= 1" in err
+            assert f"argument --count: {message}\n" in err
 
     def test_json_report_schema(self, capsys):
         code, out, _ = run_cli(
@@ -326,6 +359,28 @@ class TestVerify:
         assert len(lines) == 8
         assert all("failures=0" in line for line in lines)
 
+    def test_every_line_decides_through_holds(self, capsys, monkeypatch, tmp_path):
+        # With the one verdict rule refusing every trial, every line fails
+        # all its trials, and only bh and summing failures dump a tensor.
+        monkeypatch.setattr(verify, "_holds", lambda lhs, rhs: False)
+        dump_dir = tmp_path / "dumps"
+        code, out, err = run_cli(
+            capsys, "verify", "--format", "json", "--dump-dir", str(dump_dir)
+        )
+        assert (code, err) == (1, "")
+        reports = [json.loads(line) for line in out.splitlines()]
+        suites = ["khinchine", "kcc", "blei", "tensor", "bh", "bh", "bh", "summing"]
+        assert [r["suite"] for r in reports] == suites
+        assert all(r["failures"] == r["trials"] > 0 for r in reports)
+        # A dump is named by suite and trial index, so the three bh lines'
+        # dumps share the names of the 10,000-trial line.
+        expected = {f"bh_failure_{i}.json" for i in range(10000)}
+        expected |= {f"summing_failure_{i}.json" for i in range(1000)}
+        assert {path.name for path in dump_dir.iterdir()} == expected
+        assert load_form(dump_dir / "bh_failure_99.json").m == 4
+        assert load_form(dump_dir / "bh_failure_100.json").m == 3
+        assert load_form(dump_dir / "bh_failure_1000.json").m == 2
+
     def test_suites_are_the_library_calls(self, capsys, tmp_path):
         # The battery's sizes and counts, written out rather than read from the CLI.
         battery = [
@@ -408,6 +463,18 @@ class TestDumpDir:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_dump_dir_naming_a_file_exit_2_on_the_first_failure(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(verify, "_holds", lambda lhs, rhs: False)
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("")
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "bh", "--count", "3", "--dump-dir", str(blocker)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(blocker) in err
 
 
 class TestUsage:

@@ -34,6 +34,8 @@ EMPTY = "^expected a coefficient vector, got shape \\(0,\\)$"
 # So is a nonzero input whose sum, moment or side underflows to 0 or to a
 # subnormal float.
 UNDERFLOW = "^a computed side of nonzero inputs is not a normal float: the inputs underflow it$"
+# The one sign enumerator's cap, for vectors and tensors alike.
+CAP = "^m\\*N = {} is over the exact-expectation cap of 20$"
 
 
 class TestRademacherSums:
@@ -50,7 +52,7 @@ class TestRademacherSums:
         assert sorted(rademacher_sums(a)) == pytest.approx(expected)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=CAP.format(21)):
             rademacher_sums(np.ones(21))
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="^coefficients must be finite$"):
@@ -228,7 +230,7 @@ class TestCheckRademacherTensor:
         assert report.failures == 0
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=CAP.format(22)):
             check_rademacher_tensor(np.ones((2,) * 11), 1.5)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="^tensor entries must be finite$"):
@@ -872,15 +874,7 @@ class TestOneTrialProtocol:
         assert report.worst_margin < 0
         assert dumped == []
 
-    def test_nan_ratio_is_skipped_and_not_a_failure(self, monkeypatch, tmp_path):
-        real = verify._bh_ratios
-
-        def nan_for_normals(tensors):
-            ratios = real(tensors)
-            ratios[~(np.abs(tensors) == 1.0).reshape(len(tensors), -1).all(axis=1)] = math.nan
-            return ratios
-
-        monkeypatch.setattr(verify, "_bh_ratios", nan_for_normals)
+    def test_failures_across_odd_blocks_are_counted_and_dumped(self, monkeypatch, tmp_path):
         # Blocks of 151 (2, 2) trials, an odd number: the draws' parity must
         # follow the trial index across blocks, not the row of a block.
         monkeypatch.setattr(verify, "_BH_BLOCK_COEFFS", 151 * 4)
@@ -889,7 +883,7 @@ class TestOneTrialProtocol:
         report = run_bh_trials(2, 2, count, seed, scheme=scheme, failure_dir=tmp_path)
         bound = constant(scheme, 2).value
         tensors, ratios = {}, {}
-        for i in range(0, count, 2):
+        for i in range(count):
             tensors[i] = _draw(np.random.default_rng((seed, i)), i, (2, 2))
             form = MultilinearForm(tensors[i])
             ratios[i] = bh_lhs(form) / sup_norm_exact(form)
@@ -902,6 +896,22 @@ class TestOneTrialProtocol:
         for path in dumps:
             i = int(path.stem.rsplit("_", 1)[1])
             assert np.array_equal(forms.load_form(path).coeffs, tensors[i])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ratio_raises(self, monkeypatch, tmp_path, bad):
+        # A drawn ratio is never NaN or infinite; one injected there is
+        # refused, as a non-finite side is in the other suites.
+        real = verify._bh_ratios
+
+        def bad_for_normals(tensors):
+            ratios = real(tensors)
+            ratios[~(np.abs(tensors) == 1.0).reshape(len(tensors), -1).all(axis=1)] = bad
+            return ratios
+
+        monkeypatch.setattr(verify, "_bh_ratios", bad_for_normals)
+        with pytest.raises(ValueError, match=OVERFLOW):
+            run_bh_trials(2, 2, 4, 1, failure_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_import_leaves_numpy_random_unloaded():
