@@ -30,36 +30,29 @@ from .verify import (
 )
 
 # Suite -> (runner taking the parsed flags, {flag: default} for every flag
-# it takes beyond --seed and --format).  A runner names its library function
-# when called, so a rebinding of that module attribute reaches it.
+# it takes beyond --seed and --format, the battery's runs as flags over those
+# defaults).  A runner names its library function when called, so a rebinding
+# of that module attribute reaches it.
 _SUITES = {
-    "khinchine": (lambda a: run_khinchine_suite(count=a.count, seed=a.seed), {"count": 100}),
-    "kcc": (lambda a: run_kcc_suite(count=a.count, seed=a.seed), {"count": 100}),
-    "blei": (lambda a: run_blei_suite(count=a.count, seed=a.seed), {"count": 1000}),
-    "tensor": (lambda a: run_tensor_suite(count=a.count, seed=a.seed), {"count": 200}),
+    "khinchine": (lambda a: run_khinchine_suite(count=a.count, seed=a.seed), {"count": 100}, ({},)),
+    "kcc": (lambda a: run_kcc_suite(count=a.count, seed=a.seed), {"count": 100}, ({},)),
+    "blei": (lambda a: run_blei_suite(count=a.count, seed=a.seed), {"count": 1000}, ({},)),
+    "tensor": (lambda a: run_tensor_suite(count=a.count, seed=a.seed), {"count": 200}, ({},)),
     "bh": (
         lambda a: run_bh_trials(a.m, a.n, a.count, a.seed, failure_dir=a.dump_dir),
         {"count": 1000, "m": 2, "n": 2, "dump_dir": None},
+        ({"m": 2, "n": 2, "count": 10000}, {"m": 3, "n": 3, "count": 1000},
+         {"m": 4, "n": 2, "count": 100}),
     ),
     "summing": (
         lambda a: check_multiple_summing(a.m, a.n, a.j, a.count, a.seed, failure_dir=a.dump_dir),
-        {"count": 1000, "m": 2, "n": 2, "dump_dir": None, "j": 3},
+        {"count": 1000, "m": 2, "n": 2, "dump_dir": None, "j": 3}, ({},),
     ),
 }
 
-# Every flag a row may hold, as its parsed name and option, in the order an
-# error lists them.
-_SUITE_FLAGS = {"count": "--count", "m": "--m", "n": "--n", "j": "--j", "dump_dir": "--dump-dir"}
-
-# The full battery: each run's flags over its suite's defaults.  Of the
-# flags above it takes only --dump-dir.
-_BATTERY = (
-    {"suite": "khinchine"}, {"suite": "kcc"}, {"suite": "blei"}, {"suite": "tensor"},
-    {"suite": "bh", "m": 2, "n": 2, "count": 10000},
-    {"suite": "bh", "m": 3, "n": 3, "count": 1000},
-    {"suite": "bh", "m": 4, "n": 2, "count": 100},
-    {"suite": "summing", "m": 2, "n": 2, "j": 3, "count": 1000},
-)
+# Every flag a row may hold, in the order an error lists them.  Each is
+# spelled "--" and its name with "_" as "-".
+_SUITE_FLAGS = ("count", "m", "n", "j", "dump_dir")
 
 _REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
 
@@ -192,20 +185,21 @@ def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
             print(" ".join(f"{name}={cell}" for name, cell in zip(_REPORT_FIELDS, cells)))
 
 
+def _flags(names: Sequence[str]) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
 def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
     battery = args.suite == "all"
     takes = ("dump_dir",) if battery else _SUITES[args.suite][1]
     given = {n: getattr(args, n) for n in _SUITE_FLAGS if getattr(args, n) is not None}
-    stray = [_SUITE_FLAGS[n] for n in given if n not in takes]
+    stray = [n for n in given if n not in takes]
     if stray:
-        reason = ("runs the battery at fixed sizes" if battery
-                  else "takes only " + ", ".join(_SUITE_FLAGS[n] for n in takes))
-        raise ValueError(f"--suite {args.suite} {reason}; drop {', '.join(stray)}")
-    reports = []
-    for run in _BATTERY if battery else ({"suite": args.suite},):
-        runner, defaults = _SUITES[run["suite"]]
-        reports.append(runner(argparse.Namespace(**{**vars(args), **defaults, **given, **run})))
-    return reports
+        reason = "runs the battery at fixed sizes" if battery else "takes only " + _flags(takes)
+        raise ValueError(f"--suite {args.suite} {reason}; drop {_flags(stray)}")
+    rows = _SUITES.values() if battery else [_SUITES[args.suite]]
+    return [runner(argparse.Namespace(**{**vars(args), **defaults, **given, **run}))
+            for runner, defaults, runs in rows for run in (runs if battery else ({},))]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -121,9 +121,9 @@ def _new_step(k: int) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]
 
 # scheme -> (exact log2 bases at m = 2, 3, ..., k -> (p, step, weight) as
 # integer pairs (numerator, denominator), power of A on exact steps, log2 K_G
-# of the K_G^(2/m) factor that only the float carries).  The number of bases
-# is the stride: each step is
-#     log2 C_k = step + weight * (log2 C_{k-stride} - power * log2 A_p).
+# of the K_G^(2/m) factor that only the float carries).  Step k reads the
+# constant as many places below it as there are bases:
+#     log2 C_k = step + weight * (log2 C_{k-len(bases)} - power * log2 A_p).
 # While a chain is exact the pairs become Fractions; after that they are
 # divided as floats, which rounds as float(Fraction(a, b)) does.
 _CHAINS = {
@@ -132,10 +132,10 @@ _CHAINS = {
     SchemeId.NEW_REAL: ((Fraction(1, 2), Fraction(5, 6)), _new_step, 2, 0.0),
 }
 
-# (scheme, first m) -> (exact rational log2 part or None, float log2 value)
-# at m = first, first + stride, ...  For COR52_COMPLEX the float includes the
-# K_G^(2/m) contribution while the exact part tracks only the dyadic exponent.
-_chains: dict[tuple[SchemeId, int], list[tuple[Optional[Fraction], float]]] = {}
+# scheme -> (exact rational log2 part or None, float log2 value) at m = 2, 3,
+# ...  For COR52_COMPLEX the float includes the K_G^(2/m) contribution while
+# the exact part tracks only the dyadic exponent.
+_chains: dict[SchemeId, list[tuple[Optional[Fraction], float]]] = {}
 _cache_lock = threading.Lock()
 
 
@@ -148,15 +148,13 @@ def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
     if scheme is SchemeId.DSP_COMPLEX:
         return None, (m - 1) * _LOG2_DSP_STEP
     bases, step_at, a_power, log2_kg = _CHAINS[scheme]
-    stride = len(bases)
-    first = 2 + (m - 2) % stride
     with _cache_lock:
-        chain = _chains.setdefault((scheme, first), [])
-        if not chain:
-            base = bases[first - 2]
-            chain.append((base, float(base) + 2.0 / first * log2_kg))
-        exact, log2v = chain[-1]
-        for k in range(first + stride * len(chain), m + 1, stride):
+        chain = _chains.get(scheme)
+        if chain is None:
+            chain = _chains[scheme] = [(b, float(b) + 2.0 / k * log2_kg)
+                                       for k, b in enumerate(bases, 2)]
+        for k in range(len(chain) + 2, m + 1):
+            exact, log2v = chain[k - 2 - len(bases)]
             (pn, pd), (sn, sd), (wn, wd) = step_at(k)
             a = khinchine_A(pn / pd)
             if exact is not None and a.branch is Branch.POWER_OF_TWO:
@@ -168,7 +166,7 @@ def _log2_parts(scheme: SchemeId, m: int) -> tuple[Optional[Fraction], float]:
                 exact = None
                 log2v = sn / sd + wn / wd * (log2v - 2.0 * math.log2(a.value))
             chain.append((exact, log2v))
-        return chain[(m - first) // stride]
+        return chain[m - 2]
 
 
 def constant(scheme: SchemeId, m: int) -> Log2Constant:

@@ -16,6 +16,7 @@ transfers an L^r average of a Rademacher sum up to L^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,12 +94,15 @@ def haagerup_crossover() -> float:
 
 
 def khinchine_A(p: float) -> KhinchineConstant:
-    """Optimal lower Khinchine constant A_p for 0 < p <= 2."""
+    """Optimal lower Khinchine constant A_p for 0 < p <= 2, refused where it
+    is not a normal float (p below about 9.78e-4)."""
     if not 0.0 < p <= 2.0:
         raise ValueError(f"khinchine_A requires 0 < p <= 2, got {p}")
-    if p <= _P0:
-        return KhinchineConstant(p=p, value=power_branch(p), branch=Branch.POWER_OF_TWO)
-    return KhinchineConstant(p=p, value=gamma_branch(p), branch=Branch.GAMMA_FORMULA)
+    if p > _P0:
+        return KhinchineConstant(p=p, value=gamma_branch(p), branch=Branch.GAMMA_FORMULA)
+    if (value := power_branch(p)) < sys.float_info.min:
+        raise ValueError(f"khinchine_A({p}) = 2^(1/2 - 1/p) is below the smallest normal float")
+    return KhinchineConstant(p=p, value=value, branch=Branch.POWER_OF_TWO)
 
 
 def khinchine_B(p: float) -> float:

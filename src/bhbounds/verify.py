@@ -345,11 +345,10 @@ def _draw_tensor(rng: np.random.Generator, m: int, n: int, sign_entries: bool) -
 def _dump_failure(
     failure_dir: Optional[Path], suite: str, index: int, form: MultilinearForm, seed: int
 ) -> None:
-    if failure_dir is None:
-        return
-    failure_dir = Path(failure_dir)
-    failure_dir.mkdir(parents=True, exist_ok=True)
-    dump_form(form, failure_dir / f"{suite}_failure_{index}.json", seed=seed)
+    if failure_dir is not None:
+        Path(failure_dir).mkdir(parents=True, exist_ok=True)
+        name = f"{suite}_m{form.m}_n{form.N}_failure_{index}.json"
+        dump_form(form, Path(failure_dir) / name, seed=seed)
 
 
 def _run(

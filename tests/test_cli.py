@@ -372,14 +372,17 @@ class TestVerify:
         suites = ["khinchine", "kcc", "blei", "tensor", "bh", "bh", "bh", "summing"]
         assert [r["suite"] for r in reports] == suites
         assert all(r["failures"] == r["trials"] > 0 for r in reports)
-        # A dump is named by suite and trial index, so the three bh lines'
-        # dumps share the names of the 10,000-trial line.
-        expected = {f"bh_failure_{i}.json" for i in range(10000)}
-        expected |= {f"summing_failure_{i}.json" for i in range(1000)}
+        # A dump is named by suite, dumped shape and trial index, so no line
+        # overwrites another's dumps; a summing dump holds its (m, J) form.
+        runs = [("bh", 2, 2, 10000), ("bh", 3, 3, 1000), ("bh", 4, 2, 100),
+                ("summing", 2, 3, 1000)]
+        expected = {f"{suite}_m{m}_n{n}_failure_{i}.json"
+                    for suite, m, n, count in runs for i in range(count)}
+        assert len(expected) == 12100
         assert {path.name for path in dump_dir.iterdir()} == expected
-        assert load_form(dump_dir / "bh_failure_99.json").m == 4
-        assert load_form(dump_dir / "bh_failure_100.json").m == 3
-        assert load_form(dump_dir / "bh_failure_1000.json").m == 2
+        for path in dump_dir.iterdir():
+            form = load_form(path)
+            assert path.name.split("_")[1:3] == [f"m{form.m}", f"n{form.N}"]
 
     def test_suites_are_the_library_calls(self, capsys, tmp_path):
         # The battery's sizes and counts, written out rather than read from the CLI.
@@ -453,8 +456,9 @@ class TestSearch:
 
 class TestDumpDir:
     def test_dump_dir_naming_a_file_exit_2(self, capsys, monkeypatch, tmp_path):
-        # A zero bound makes every trial fail, so the first dump is attempted.
-        monkeypatch.setattr(verify, "constant", lambda scheme, m: SimpleNamespace(value=0.0))
+        # Every +-1 (2, 2) tensor has a ratio of at least 1/sqrt(2), so a bound
+        # of 0.5 fails trial 0 and its dump is attempted.
+        monkeypatch.setattr(verify, "constant", lambda scheme, m: SimpleNamespace(value=0.5))
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("")
         code, out, err = run_cli(
@@ -462,7 +466,7 @@ class TestDumpDir:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and str(blocker) in err
 
     def test_dump_dir_naming_a_file_exit_2_on_the_first_failure(
         self, capsys, monkeypatch, tmp_path
@@ -583,3 +587,23 @@ class TestPinnedBytes:
         written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         written["stdout"] = out.encode()
         assert {name: hashlib.sha256(written[name]).hexdigest() for name in sha256} == sha256
+
+
+class TestBenchmarkOracles:
+    def test_battery_and_table_pass_the_benchmark_checks(self, capsys, monkeypatch):
+        # The benchmark's oracles hold their own copy of the battery's lines,
+        # so a drift from the CLI fails here first.
+        from importlib.util import module_from_spec, spec_from_file_location
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "oracles.py")
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = spec_from_file_location("perfbench_oracles", path)
+        oracles = module_from_spec(spec)
+        spec.loader.exec_module(oracles)
+        code, out, err = run_cli(capsys, "verify", "--seed", "0", "--format", "json")
+        assert (code, err) == (0, "")
+        assert oracles.check_battery(out, 0) == []
+        code, out, err = run_cli(capsys, "table", "--m-min", "2", "--m-max", "60",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        assert oracles.check_table(out, 2, 60) == []

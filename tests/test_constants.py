@@ -304,13 +304,18 @@ def _reference_parts(scheme: SchemeId, m_max: int) -> dict:
 
 class TestRecurrenceFormulation:
     # m = 5000 spans each chain's exact phase, its first Gamma step (14 for
-    # COR52, 15 and 16 for NEW_REAL) and a long float phase.
-    @pytest.mark.parametrize(
-        "scheme", [SchemeId.COR52_REAL, SchemeId.COR52_COMPLEX, SchemeId.NEW_REAL]
-    )
-    def test_bit_identical_to_fraction_steps(self, scheme, monkeypatch):
+    # COR52, 15 and 16 for NEW_REAL) and a long float phase.  Asking for
+    # m = 5000 first fills the whole memo in one call, both parities at once.
+    @pytest.mark.parametrize("scheme, first", [
+        pytest.param(scheme, first, id=str(scheme) + ("-m5000-first" if first else ""))
+        for scheme in (SchemeId.COR52_REAL, SchemeId.COR52_COMPLEX, SchemeId.NEW_REAL)
+        for first in (None, 5000)
+    ])
+    def test_bit_identical_to_fraction_steps(self, scheme, first, monkeypatch):
         monkeypatch.setattr(constants, "_chains", {})
         reference = _reference_parts(scheme, 5000)
+        if first is not None:
+            constant(scheme, first)
         for m in range(2, 5001):
             got = constant(scheme, m)
             assert got.log2_value == reference[m][1], m

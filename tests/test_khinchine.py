@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -107,6 +109,13 @@ class TestKhinchineA:
     def test_domain(self):
         for p in (0.0, -1.0, 2.0001, 3.0):
             with pytest.raises(ValueError):
+                khinchine_A(p)
+
+    def test_refuses_a_p_whose_value_is_not_normal(self):
+        # 2^(1/2 - 1/p) falls below the smallest normal float near p = 2/2045.
+        assert khinchine_A(9.8e-4).value >= sys.float_info.min
+        for p in (9.77e-4, 1e-4, 1e-300):
+            with pytest.raises(ValueError, match=re.escape(f"khinchine_A({p}) = ")):
                 khinchine_A(p)
 
 

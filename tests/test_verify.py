@@ -154,6 +154,12 @@ class TestCheckKcc:
         with pytest.raises(ValueError, match=OVERFLOW):
             check_kcc([1e300, 1e300], 2.0, 1.0)
 
+    def test_r_whose_constant_underflows_raises(self):
+        # A_r underflows to 0.0 below r of about 9.78e-4; dividing by it
+        # raised ZeroDivisionError.
+        with pytest.raises(ValueError, match=r"^khinchine_A\(0\.0001\) "):
+            check_kcc([1.0, 2.0], 2.0, 1e-4)
+
 
 class TestCheckBlei:
     def test_one_by_one_equality(self):
@@ -330,7 +336,7 @@ class TestRunBhTrials:
 
         form = MultilinearForm(np.array([[1.0, 1.0], [1.0, -1.0]]))
         _dump_failure(tmp_path, "bh", 17, form, seed=9)
-        dumped = tmp_path / "bh_failure_17.json"
+        dumped = tmp_path / "bh_m2_n2_failure_17.json"
         assert dumped.exists()
         assert np.array_equal(load_form(dumped).coeffs, form.coeffs)
 
@@ -345,7 +351,7 @@ class TestRunBhTrials:
             2, 2, 200, seed=1, scheme=SchemeId.DSP_COMPLEX, failure_dir=tmp_path
         )
         assert report.failures > 0
-        dumps = sorted(tmp_path.glob("bh_failure_*.json"))
+        dumps = sorted(tmp_path.glob("bh_m2_n2_failure_*.json"))
         assert len(dumps) == report.failures
         for path in dumps:
             i = int(path.stem.rsplit("_", 1)[1])
@@ -652,12 +658,12 @@ class TestCheckMultipleSumming:
             2, 2, 2, 400, 1, scheme=SchemeId.DSP_COMPLEX, failure_dir=tmp_path
         )
         assert report.failures == 1
-        assert [path.name for path in tmp_path.iterdir()] == ["summing_failure_18.json"]
+        assert [path.name for path in tmp_path.iterdir()] == ["summing_m2_n2_failure_18.json"]
         rng = np.random.default_rng((1, 18))
         composed = _draw(rng, 18, (2, 2))
         for _ in range(2):
             composed = np.tensordot(composed, rng.standard_normal((2, 2)), axes=(0, 1))
-        dumped = load_form(tmp_path / "summing_failure_18.json")
+        dumped = load_form(tmp_path / "summing_m2_n2_failure_18.json")
         assert np.array_equal(dumped.coeffs, composed)
         assert bh_ratio(dumped) == report.max_ratio
 
@@ -892,7 +898,8 @@ class TestOneTrialProtocol:
         assert report.worst_margin == min(bound - r for r in ratios.values())
         assert report.failures == len(failing) > 0
         dumps = sorted(tmp_path.iterdir())
-        assert sorted(path.name for path in dumps) == sorted(f"bh_failure_{i}.json" for i in failing)
+        expected = sorted(f"bh_m2_n2_failure_{i}.json" for i in failing)
+        assert sorted(path.name for path in dumps) == expected
         for path in dumps:
             i = int(path.stem.rsplit("_", 1)[1])
             assert np.array_equal(forms.load_form(path).coeffs, tensors[i])
