@@ -19,6 +19,11 @@ expect() {
 }
 
 bhbounds table
+# `table` needs no numpy, and the entry point imports none: it runs with a
+# numpy that cannot be imported first on the path.
+mkdir -p "$RUNNER_TEMP/no-numpy"
+echo 'raise ImportError("numpy is hidden from this run")' > "$RUNNER_TEMP/no-numpy/numpy.py"
+PYTHONPATH="$RUNNER_TEMP/no-numpy" bhbounds table > /dev/null
 expect 2 bhbounds search --m 1
 # A reader that closes stdout early is no error: 141 (128 + SIGPIPE, as a
 # shell reports for `yes | head`) and nothing on stderr.

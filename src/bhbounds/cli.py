@@ -14,38 +14,35 @@ import math
 import os
 import sys
 from dataclasses import fields
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .constants import ConstantsTable, Log2Constant, SchemeId, constant, table
-from .forms import dump_form
-from .verify import (
-    VerificationReport,
-    check_multiple_summing,
-    run_bh_trials,
-    run_blei_suite,
-    run_kcc_suite,
-    run_khinchine_suite,
-    run_tensor_suite,
-    search_extremal,
-)
 
-# Suite -> (runner taking the parsed flags, {flag: default} for every flag
-# it takes beyond --seed and --format, the battery's runs as flags over those
-# defaults).  A runner names its library function when called, so a rebinding
-# of that module attribute reaches it.
+if TYPE_CHECKING:
+    from .verify import VerificationReport
+
+# Suite -> (runner taking the verify module and the parsed flags, {flag:
+# default} for every flag it takes beyond --seed and --format, the battery's
+# runs as flags over those defaults).  `forms` and `verify` import numpy,
+# which `table` never needs, so each command imports them when it runs.  A
+# runner looks its library function up on the `bhbounds.verify` module when
+# called, so a rebinding of that module attribute reaches it.
 _SUITES = {
-    "khinchine": (lambda a: run_khinchine_suite(count=a.count, seed=a.seed), {"count": 100}, ({},)),
-    "kcc": (lambda a: run_kcc_suite(count=a.count, seed=a.seed), {"count": 100}, ({},)),
-    "blei": (lambda a: run_blei_suite(count=a.count, seed=a.seed), {"count": 1000}, ({},)),
-    "tensor": (lambda a: run_tensor_suite(count=a.count, seed=a.seed), {"count": 200}, ({},)),
+    "khinchine": (lambda v, a: v.run_khinchine_suite(count=a.count, seed=a.seed),
+                  {"count": 100}, ({},)),
+    "kcc": (lambda v, a: v.run_kcc_suite(count=a.count, seed=a.seed), {"count": 100}, ({},)),
+    "blei": (lambda v, a: v.run_blei_suite(count=a.count, seed=a.seed), {"count": 1000}, ({},)),
+    "tensor": (lambda v, a: v.run_tensor_suite(count=a.count, seed=a.seed),
+               {"count": 200}, ({},)),
     "bh": (
-        lambda a: run_bh_trials(a.m, a.n, a.count, a.seed, failure_dir=a.dump_dir),
+        lambda v, a: v.run_bh_trials(a.m, a.n, a.count, a.seed, failure_dir=a.dump_dir),
         {"count": 1000, "m": 2, "n": 2, "dump_dir": None},
         ({"m": 2, "n": 2, "count": 10000}, {"m": 3, "n": 3, "count": 1000},
          {"m": 4, "n": 2, "count": 100}),
     ),
     "summing": (
-        lambda a: check_multiple_summing(a.m, a.n, a.j, a.count, a.seed, failure_dir=a.dump_dir),
+        lambda v, a: v.check_multiple_summing(a.m, a.n, a.j, a.count, a.seed,
+                                              failure_dir=a.dump_dir),
         {"count": 1000, "m": 2, "n": 2, "dump_dir": None, "j": 3}, ({},),
     ),
 }
@@ -54,10 +51,8 @@ _SUITES = {
 # spelled "--" and its name with "_" as "-".
 _SUITE_FLAGS = ("count", "m", "n", "j", "dump_dir")
 
-_REPORT_FIELDS = tuple(f.name for f in fields(VerificationReport))
-
 # The largest table row: `table --m-max 100000` already takes 4 to 5 s and
-# about 109 MB on a 2 vCPU Xeon in any format, and the cost grows with m.
+# about 95 MB on a 2 vCPU Xeon in any format, and the cost grows with m.
 _TABLE_M_MAX = 100_000
 
 # Every table value and prefactor is at least 1, a double with at most 52
@@ -170,19 +165,22 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
+    from .verify import VerificationReport
+
+    names = [f.name for f in fields(VerificationReport)]
     if fmt == "csv":
-        print(",".join(_REPORT_FIELDS))
+        print(",".join(names))
     for report in reports:
         if fmt == "json":
             print(report.to_json())
             continue
         # str() of a float is its shortest round-trip repr.
-        values = [getattr(report, name) for name in _REPORT_FIELDS]
+        values = [getattr(report, name) for name in names]
         cells = [str(v).lower() if isinstance(v, bool) else str(v) for v in values]
         if fmt == "csv":
             print(",".join(cells))
         else:
-            print(" ".join(f"{name}={cell}" for name, cell in zip(_REPORT_FIELDS, cells)))
+            print(" ".join(f"{name}={cell}" for name, cell in zip(names, cells)))
 
 
 def _flags(names: Sequence[str]) -> str:
@@ -197,8 +195,10 @@ def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
     if stray:
         reason = "runs the battery at fixed sizes" if battery else "takes only " + _flags(takes)
         raise ValueError(f"--suite {args.suite} {reason}; drop {_flags(stray)}")
+    from . import verify
+
     rows = _SUITES.values() if battery else [_SUITES[args.suite]]
-    return [runner(argparse.Namespace(**{**vars(args), **defaults, **given, **run}))
+    return [runner(verify, argparse.Namespace(**{**vars(args), **defaults, **given, **run}))
             for runner, defaults, runs in rows for run in (runs if battery else ({},))]
 
 
@@ -209,6 +209,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from .forms import dump_form
+    from .verify import search_extremal
+
     state = search_extremal(
         args.m, args.n, restarts=args.restarts, iterations=args.iterations, seed=args.seed
     )

@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import _bind
 from .exponents import bh_exponent
 
 __all__ = [
@@ -348,3 +349,6 @@ def bh_ratio(form: MultilinearForm) -> float:
         raise ValueError("the zero form has no ratio")
     return bh_lhs(form) / sup_norm_exact(form)
 
+
+# Last, so the package holds every public name however this module was imported.
+_bind(globals())

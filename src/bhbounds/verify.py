@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import _bind
 from .constants import SchemeId, constant
 from .exponents import BleiParams, bh_exponent, blei_f, blei_w
 from .forms import (
@@ -599,3 +600,7 @@ def run_tensor_suite(count: int = 200, seed: int = 0) -> VerificationReport:
         return _lhs_rhs(check_rademacher_tensor(tensor, r))
 
     return _run("tensor", count, seed, _each(trial))
+
+
+# Last, so the package holds every public name however this module was imported.
+_bind(globals())
