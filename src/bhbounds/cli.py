@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="hill-climb sign tensors for large ratios")
     p_search.add_argument("--m", type=_at_least(2), default=2)
     p_search.add_argument("--n", type=_at_least(1), default=2)
-    p_search.add_argument("--restarts", type=_at_least(1), default=8)
+    p_search.add_argument("--restarts", type=_at_least(1, at_most=1 << 32), default=8)
     p_search.add_argument("--iterations", type=_at_least(0), default=200)
     p_search.add_argument("--seed", type=_at_least(0), default=0)
     p_search.add_argument("--out", default=None, help="path for the best tensor dump")

@@ -22,8 +22,10 @@ first m-1 indices of row r), the norm is max_k R[k], where
 R = sum_c |P[c]| over the rows of the pattern table P = M.T @ S.
 Changing the entry ``old`` at row r, column c of M to ``new`` moves only
 P[c], by (new - old) * S[r], so a one-entry change is scored as
-max(R - |P[c]| + |P[c] + (new - old) * S[r]|) without a new enumeration;
-``verify.search_extremal`` scores its sign flips (new = -old) that way.
+max(R - |P[c]| + |P[c] + (new - old) * S[r]|) without a new enumeration.
+``verify.search_extremal`` scores its sign flips (new = -old) that way, a
+block of flips per pass against one table; the table changes only at the
+first flip it keeps, so each score is the one a flip scored alone gets.
 On a tensor of integers whose absolute sum is below 2^53 every such sum
 is exact, so the table gives the kernel's norm bit for bit.
 """

@@ -76,7 +76,8 @@ EXPECTATION_MAX_BITS = 20
 # proposals drawn per ``integers`` call.
 _SEED_BLOCK = 1 << 12
 
-# A bh block holds at most this many coefficients, but at least one tensor.
+# A bh block holds at most this many coefficients, but at least one tensor;
+# a search scores at most this many table entries, but one proposal, per pass.
 _BH_BLOCK_COEFFS = 1 << 12
 
 # The seeding hashes each trial index as one uint32 word.
@@ -467,8 +468,10 @@ def search_extremal(
     the search and a lower norm, an integer of at most N^m <= 2^20, is
     exactly a higher ratio.  Proposals are scored from the pattern table
     of the ``forms`` module docstring while S and P together hold at most
-    MAX_TENSOR_ENTRIES entries, and through the kernel past that; both
-    give the same norms, so the walk does not change with the cap.
+    MAX_TENSOR_ENTRIES entries, a block of proposals per pass, and one by
+    one through the kernel past that.  Both give the same norms, and a
+    block keeps only its first improving proposal before scoring resumes
+    after it, so the walk changes with neither cap.
 
     The shape passes ``check_budget`` before any draw.  The first restart
     to reach the smallest norm wins, and ``bh_ratio`` certifies it.
@@ -495,24 +498,41 @@ def search_extremal(
 def _walk_by_table(
     signs: np.ndarray, rng: np.random.Generator, iterations: int, products: np.ndarray
 ) -> float:
-    """Walk ``signs`` in place, scoring proposals from the pattern table; returns its norm."""
+    """Walk ``signs`` in place, scoring proposals from the pattern table; returns its norm.
+
+    Proposals are scored a block at a time, at most _BH_BLOCK_COEFFS table
+    entries (but at least one proposal) per block, with the elementwise
+    operations of scoring them one by one.  The first candidate below the
+    norm is kept, and scoring resumes at the proposal after it: nothing
+    changes before that flip, so every score and kept flip is the one-by-one
+    walk's, bit for bit.
+    """
     m, n = signs.ndim, signs.shape[0]
     rows = signs.reshape(-1, n)
     sums = rows.T @ products
     mags = np.abs(sums)
     totals = mags.sum(axis=0)
     norm = float(np.maximum.reduce(totals))
-    for r, c in _proposal_cells(rng, n, m, iterations):
-        old = rows[r, c]
-        column = sums[c] - (2.0 * old) * products[r]
-        mag = np.abs(column)
-        candidate = float(np.maximum.reduce(totals - mags[c] + mag))
-        if candidate < norm:
-            norm = candidate
-            rows[r, c] = -old
-            sums[c] = column
-            totals += mag - mags[c]
-            mags[c] = mag
+    chunk = max(1, _BH_BLOCK_COEFFS // products.shape[1])
+    for block_rows, block_cols in _proposal_cells(rng, n, m, iterations):
+        start = 0
+        while start < len(block_rows):
+            r, c = block_rows[start:start + chunk], block_cols[start:start + chunk]
+            old = rows[r, c]
+            columns = sums[c] - (2.0 * old)[:, None] * products[r]
+            mag = np.abs(columns)
+            candidates = np.maximum.reduce(totals - mags[c] + mag, axis=1)
+            better = candidates < norm
+            k = int(better.argmax())
+            if not better[k]:
+                start += chunk
+                continue
+            norm = float(candidates[k])
+            rows[r[k], c[k]] = -old[k]
+            sums[c[k]] = columns[k]
+            totals += mag[k] - mags[c[k]]
+            mags[c[k]] = mag[k]
+            start += k + 1
     return norm
 
 
@@ -520,20 +540,22 @@ def _walk_by_kernel(signs: np.ndarray, rng: np.random.Generator, iterations: int
     """Walk ``signs`` in place, scoring each proposal through the kernel; returns its norm."""
     norm = sup_norm_exact(MultilinearForm(signs))
     rows = signs.reshape(-1, signs.shape[0])
-    for r, c in _proposal_cells(rng, rows.shape[1], signs.ndim, iterations):
-        rows[r, c] = -rows[r, c]
-        candidate = _exact_norm(signs)
-        if candidate < norm:
-            norm = candidate
-        else:
+    for block_rows, block_cols in _proposal_cells(rng, rows.shape[1], signs.ndim, iterations):
+        for r, c in zip(block_rows.tolist(), block_cols.tolist()):
             rows[r, c] = -rows[r, c]
+            candidate = _exact_norm(signs)
+            if candidate < norm:
+                norm = candidate
+            else:
+                rows[r, c] = -rows[r, c]
     return norm
 
 
 def _proposal_cells(
     rng: np.random.Generator, n: int, m: int, iterations: int
-) -> Iterator[tuple[int, int]]:
-    """Yield each proposal's row and column of ``tensor.reshape(-1, n)``.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the proposals' rows and columns of ``tensor.reshape(-1, n)``,
+    one pair of arrays per draw block.
 
     Drawn _SEED_BLOCK proposals per call, in the stream of one
     ``integers(0, n, size=m)`` per proposal: numpy keeps a word's unused
@@ -542,7 +564,7 @@ def _proposal_cells(
     place = n ** np.arange(m - 1, -1, -1)
     for first in range(0, iterations, _SEED_BLOCK):
         flat = rng.integers(0, n, size=(min(_SEED_BLOCK, iterations - first), m)) @ place
-        yield from zip((flat // n).tolist(), (flat % n).tolist())
+        yield flat // n, flat % n
 
 
 def run_khinchine_suite(count: int = 100, seed: int = 0) -> VerificationReport:

@@ -438,6 +438,12 @@ class TestSearch:
         assert form.m == 2 and form.N == 2
         assert set(np.unique(form.coeffs)) <= {-1.0, 1.0}
 
+    def test_restarts_past_the_seeding_range_exit_2(self, capsys):
+        # Checked when the command line is parsed, as verify --count is.
+        code, out, err = run_cli(capsys, "search", "--restarts", str(2**32 + 1))
+        assert (code, out) == (2, "")
+        assert f"argument --restarts: must be <= {2**32}, got {2**32 + 1}\n" in err
+
     def test_budget_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "search", "--m", "5", "--n", "8")
         assert code == 2
@@ -552,6 +558,14 @@ class TestPinnedBytes:
             {"best.json": "098b4a179655c12b9b7d9623488822ad82073124ee21dd2a9c87da1c10a9299a"},
             id="search-table-walk",
         ),
+        # The benchmark's table-walk shape, where proposals are scored 64 at a time.
+        pytest.param(
+            ("search", "--m", "3", "--n", "4", "--restarts", "16", "--iterations", "400",
+             "--seed", "7", "--out", "bench.json"),
+            "ratio=0.9999999999999999 bound=1.7817974362806785 m=3 n=4 restarts=16 iterations=6400 seed=7\n",
+            {"bench.json": "3f416b63bb118be2c12ee551bab64143978c0d6c7b102842cbd31d628aa96a7d"},
+            id="search-benchmark-shape",
+        ),
         # (5, 4) is past the pattern-table cap: every proposal is scored by the kernel.
         pytest.param(
             ("search", "--m", "5", "--n", "4", "--restarts", "2", "--iterations", "40",
@@ -589,17 +603,23 @@ class TestPinnedBytes:
         assert {name: hashlib.sha256(written[name]).hexdigest() for name in sha256} == sha256
 
 
+def _benchmark_oracles(monkeypatch):
+    """perfbench/oracles.py, loaded read-only: no bytecode is written beside it."""
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "oracles.py")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = spec_from_file_location("perfbench_oracles", path)
+    oracles = module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
 class TestBenchmarkOracles:
     def test_battery_and_table_pass_the_benchmark_checks(self, capsys, monkeypatch):
         # The benchmark's oracles hold their own copy of the battery's lines,
         # so a drift from the CLI fails here first.
-        from importlib.util import module_from_spec, spec_from_file_location
-
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "oracles.py")
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        spec = spec_from_file_location("perfbench_oracles", path)
-        oracles = module_from_spec(spec)
-        spec.loader.exec_module(oracles)
+        oracles = _benchmark_oracles(monkeypatch)
         code, out, err = run_cli(capsys, "verify", "--seed", "0", "--format", "json")
         assert (code, err) == (0, "")
         assert oracles.check_battery(out, 0) == []
@@ -607,3 +627,19 @@ class TestBenchmarkOracles:
                                  "--format", "json")
         assert (code, err) == (0, "")
         assert oracles.check_table(out, 2, 60) == []
+
+    @pytest.mark.parametrize("m,n,restarts,iterations", [(3, 4, 16, 400), (4, 3, 8, 400)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_search_passes_the_benchmark_check(
+        self, capsys, monkeypatch, tmp_path, m, n, restarts, iterations, seed
+    ):
+        # The benchmark's search shapes: the oracle recomputes the printed ratio
+        # of the written tensor by brute force and holds it under the m-th bound.
+        oracles = _benchmark_oracles(monkeypatch)
+        out_path = tmp_path / "best.json"
+        code, out, err = run_cli(capsys, "search", "--m", str(m), "--n", str(n),
+                                 "--restarts", str(restarts), "--iterations", str(iterations),
+                                 "--seed", str(seed), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        ratio = float(out.split()[0].removeprefix("ratio="))
+        assert oracles.check_search(load_form(out_path).coeffs, ratio) == []

@@ -522,6 +522,38 @@ class TestSearchAgainstReference:
         assert np.array_equal(state.tensor.coeffs, finals[best][0].coeffs)
 
 
+def _kept_by_reference(m, n, iterations, seed):
+    """The proposals that restart 0 of the reference walk keeps: those after
+    which its ratio rises."""
+    ratios = [_reference_walk(m, n, 1, i, seed)[0][1] for i in range(iterations + 1)]
+    return [i for i in range(iterations) if ratios[i + 1] > ratios[i]]
+
+
+class TestBlockScoring:
+    """The table walk scores proposals a block at a time: the first improving
+    proposal of a block is kept, and scoring resumes at the one after it."""
+
+    @pytest.mark.parametrize("m,n,restarts,iterations,seed", SEARCH_CASES + [(3, 2, 1, 4100, 8)])
+    @pytest.mark.parametrize("per_block", ["proposal", "draw_block"])
+    def test_same_walk_at_any_block_cap(
+        self, monkeypatch, per_block, m, n, restarts, iterations, seed
+    ):
+        # A cap of one entry scores one proposal per block; a cap of a draw block
+        # of the largest table scores each draw block in one pass until it improves.
+        cap = 1 if per_block == "proposal" else verify._SEED_BLOCK * verify.MAX_TENSOR_ENTRIES
+        monkeypatch.setattr(verify, "_BH_BLOCK_COEFFS", cap)
+        calls = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(m, n, restarts, iterations, seed)
+        assert calls == []
+
+    def test_improvements_in_one_block(self):
+        # (3, 4) has 2^6 patterns, so a block holds 64 proposals, and the walk
+        # keeps five proposals of its first block, scoring again after each.
+        assert max(1, verify._BH_BLOCK_COEFFS // 2**6) == 64
+        assert _kept_by_reference(3, 4, 30, 2) == [0, 2, 3, 4, 10]
+        _assert_same_as_reference(3, 4, 1, 30, 2)
+
+
 class TestProposalCells:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -534,10 +566,14 @@ class TestProposalCells:
             for rng in (blocked, per_call):
                 rng.integers(0, 2, size=(n,) * m)
             assert per_call.bit_generator.state["has_uint32"] == n % 2
-            expected = [
-                divmod(int(per_call.integers(0, n, size=m) @ place), n) for _ in range(iterations)
-            ]
-            assert list(verify._proposal_cells(blocked, n, m, iterations)) == expected
+            expected = np.array(
+                [divmod(int(per_call.integers(0, n, size=m) @ place), n)
+                 for _ in range(iterations)], dtype=int,
+            ).reshape(-1, 2)
+            blocks = list(verify._proposal_cells(blocked, n, m, iterations))
+            for k in range(2):
+                cells = np.concatenate([block[k] for block in blocks] + [np.empty(0, int)])
+                assert np.array_equal(cells, expected[:, k])
             assert blocked.bit_generator.state == per_call.bit_generator.state
 
     def test_draws_are_bounded_by_the_block(self):
@@ -551,8 +587,9 @@ class TestProposalCells:
                 sizes.append(size)
                 return self.rng.integers(low, high, size=size)
 
-        cells = list(verify._proposal_cells(Recording(np.random.default_rng(0)), 3, 2, 10_000))
-        assert len(cells) == 10_000
+        blocks = list(verify._proposal_cells(Recording(np.random.default_rng(0)), 3, 2, 10_000))
+        assert [(len(rows), len(cols)) for rows, cols in blocks] == [(4096, 4096), (4096, 4096),
+                                                                     (1808, 1808)]
         assert sizes == [(4096, 2), (4096, 2), (1808, 2)]
 
 
