@@ -16,6 +16,15 @@ must not exceed 31, and its N^m entries must not exceed
 MAX_TENSOR_ENTRIES (2^20).  Past them, ``sup_norm_lower`` gives a
 certified-from-below estimate by alternating sign ascent.
 
+The kernel takes the slots in turn on one (N, width) array: the next
+slot's index on its rows, and each column an index of the later slots
+with a pattern of the earlier ones, patterns on the minor axis.  A slot
+is one product rows.T @ _half_signs(N).T, whose output is the next slot's
+array without a copy; past _CAP, a slot's last terms are added depth
+first.  Each signed sum runs slot by slot and in index order, and each l1
+sum in the order np.add.reduce gives a contiguous row, so however the
+work is split the norm has the same bits.
+
 In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
 ``_sign_products`` (S[r, k] is the product of pattern k's signs at the
 first m-1 indices of row r), the norm is max_k R[k], where
@@ -198,13 +207,12 @@ def evaluate(form: MultilinearForm, args: Sequence[Sequence[float]]) -> float:
 
 
 # Elements in any one array the exact-norm kernel allocates (2^14 doubles,
-# 128 KB), unless a single tensor row is longer: small enough to stay in
-# cache.  Each level of its recursion (a slot, or one depth-first term)
-# holds at most one such array.
+# 128 KiB), unless a single tensor row is longer: small enough to stay in
+# cache.  Each slot holds one such array per depth-first term it adds.
 _CAP = 1 << 14
 
 # Unbounded: the kernel asks only for n with n * 2^(n-1) <= _CAP, so the
-# cache holds at most 14 matrices.
+# cache holds at most 11 matrices.
 @functools.lru_cache(maxsize=None)
 def _half_signs(n: int) -> np.ndarray:
     """The 2^(n-1) sign rows of length n with s[0] = +1, read-only."""
@@ -228,41 +236,49 @@ def _sign_products(m: int, n: int) -> np.ndarray:
     return rows
 
 
-def _sup_over_signs(batch: np.ndarray, slots: int) -> float:
+def _sup_over_signs(x: np.ndarray, slots: int) -> float:
     """Max over sign vectors in ``slots`` slots of the l1 sum that remains.
 
-    ``batch`` has shape (B, n, rest); axis 1 of each item is the slot to
-    enumerate next.  Only vectors with s[0] = +1 are visited: flipping a
-    whole slot negates every value exactly and the final abs undoes it.
-    Each signed sum runs in index order: its first ``head`` terms in one
-    matrix product, each later term added in turn, depth first over its
-    sign.
+    ``x`` is (n, width), as in the module docstring.  Each signed sum takes
+    its first ``head`` terms from one product, as many as let the later
+    slots run breadth first within _CAP, and then each later term in turn,
+    depth first over its sign.
     """
-    count, n, rest = batch.shape
-    head = min(n, max(1, (_CAP // rest).bit_length()))
-    items = max(1, _CAP // (rest << (head - 1)))
-    signs = _half_signs(head)
-    best = 0.0
-    for first in range(0, count, items):
-        x = batch[first:first + items]
-        partial = np.matmul(signs, x[:, :head] if head < n else x)
-        best = max(best, _add_rows(partial, x, head, slots))
-    return best
+    n, width = x.shape
+    # Elements of the last slot's array per pattern of this slot, breadth first.
+    later = width // n ** (slots - 1) << (n - 1) * (slots - 1)
+    head = min(n, max(1, (_CAP // later).bit_length()))
+    return _add_rows(x[:head].T @ _half_signs(head).T, x, head, slots)
 
 
 def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int) -> float:
-    """Add +-x[:, j], ..., +-x[:, n-1] to ``partial`` (overwritten), then reduce."""
-    n, rest = x.shape[1:]
+    """Add +-x[j], ..., +-x[n-1] to ``partial`` (overwritten), then go on
+    with its (width, P) rows read as (n, width * P / n), with no copy."""
+    n = len(x)
     if j < n:
-        row = x[:, j:j + 1]
+        row = x[j, :, None]
         best = _add_rows(partial + row, x, j + 1, slots)
         partial -= row
         return max(best, _add_rows(partial, x, j + 1, slots))
-    if slots > 1:
-        return _sup_over_signs(partial.reshape(-1, n, rest // n), slots - 1)
-    np.abs(partial, out=partial)
-    # The ufuncs themselves: .sum()/.max() wrappers cost a measurable share at N = 2.
-    return float(np.maximum.reduce(np.add.reduce(partial, axis=2), axis=None))
+    rows = partial.reshape(n, -1)
+    return _sup_over_signs(rows, slots - 1) if slots > 1 else _l1_max(rows)
+
+
+def _l1_max(x: np.ndarray) -> float:
+    """Max over columns of sum_i |x[i]|, x overwritten, each sum in the order
+    of np.add.reduce along a contiguous row: in turn below 8 terms, else
+    eight running sums, a pairwise tree over them, then the rest in turn.
+    ``_exact_norm`` puts each block of eight rows in its tree's leaf order."""
+    np.abs(x, out=x)
+    stop = len(x) - len(x) % 8
+    if stop:
+        for i in range(8, stop, 8):
+            x[i:i + 8] += x[i - 8:i]
+        for half in (4, 2, 1):
+            x[stop - half:stop] += x[stop - 2 * half:stop - half]
+        x[stop:stop + 1] += x[stop - 1]  # at most seven rows left: summed in turn
+        x = x[min(stop, len(x) - 1):]
+    return float(np.maximum.reduce(np.add.reduce(x, axis=0)))
 
 
 def sup_norm_exact(form: MultilinearForm) -> float:
@@ -281,7 +297,11 @@ def _exact_norm(coeffs: np.ndarray) -> float:
     shape the caller has already passed through ``check_budget``."""
     if coeffs.ndim == 1:
         return float(np.abs(coeffs).sum())
-    return _sup_over_signs(coeffs.reshape(1, coeffs.shape[0], -1), coeffs.ndim - 1)
+    n = coeffs.shape[0]
+    if n >= 8:  # the last slot's blocks of eight in the leaf order of _l1_max's tree
+        order = [b + i for b in range(0, n - 7, 8) for i in (0, 4, 2, 6, 1, 5, 3, 7)]
+        coeffs = coeffs[..., order + list(range(len(order), n))]
+    return _sup_over_signs(coeffs.reshape(n, -1), coeffs.ndim - 1)
 
 
 def _slot_coefficients(tensor: np.ndarray, signs: list, k: int) -> np.ndarray:

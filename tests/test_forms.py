@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,68 @@ def sign_tensor(rng, m, n):
 # Shapes that split a slot into several blocks or depth-first terms, and long
 # slot chains.
 KERNEL_SHAPES = [(2, 16), (3, 8), (3, 9), (5, 3), (6, 3), (9, 2), (10, 2)]
+
+
+# Every kernel shape, the battery's, the benchmark's deep shapes, and last
+# slots of at least 8 and 16 coordinates, where numpy's row sum turns
+# pairwise; at (2,15) seven terms follow the block of eight.
+ORACLE_SHAPES = sorted(set(KERNEL_SHAPES) | {
+    (2, 2), (2, 3), (3, 3), (4, 2),
+    (4, 6), (5, 5), (6, 4), (7, 3), (9, 2), (10, 2),
+    (2, 9), (2, 15), (2, 17), (3, 8),
+})
+# A 16-element cap splits every slot down to single columns and terms; it
+# runs the shapes of at most 14 sign bits, where that takes under a second.
+ORACLE_CASES = [(m, n, None) for m, n in ORACLE_SHAPES] + [
+    (m, n, 16) for m, n in ORACLE_SHAPES if (m - 1) * (n - 1) <= 14
+]
+
+
+def _reference_norm(coeffs):
+    """The exact norm by the earlier kernel, which the current one must match
+    bit for bit: batch items on the major axis, one stacked product per
+    block, and each l1 sum by np.add.reduce along a contiguous row."""
+    if coeffs.ndim == 1:
+        return float(np.abs(coeffs).sum())
+    return _reference_sup(coeffs.reshape(1, coeffs.shape[0], -1), coeffs.ndim - 1)
+
+
+def _reference_sup(batch, slots):
+    count, n, rest = batch.shape
+    head = min(n, max(1, (forms._CAP // rest).bit_length()))
+    items = max(1, forms._CAP // (rest << (head - 1)))
+    signs = forms._half_signs(head)
+    best = 0.0
+    for first in range(0, count, items):
+        x = batch[first:first + items]
+        partial = np.matmul(signs, x[:, :head] if head < n else x)
+        best = max(best, _reference_add_rows(partial, x, head, slots))
+    return best
+
+
+def _reference_add_rows(partial, x, j, slots):
+    n, rest = x.shape[1:]
+    if j < n:
+        row = x[:, j:j + 1]
+        best = _reference_add_rows(partial + row, x, j + 1, slots)
+        partial -= row
+        return max(best, _reference_add_rows(partial, x, j + 1, slots))
+    if slots > 1:
+        return _reference_sup(partial.reshape(-1, n, rest // n), slots - 1)
+    np.abs(partial, out=partial)
+    return float(np.maximum.reduce(np.add.reduce(partial, axis=2), axis=None))
+
+
+def oracle_tensors(m, n):
+    """Gaussian, +-1, Gaussian scaled entrywise by 1e-3 to 1e3, and integer tensors."""
+    rng = np.random.default_rng(600 * m + n)
+    shape = (n,) * m
+    return {
+        "gauss": rng.standard_normal(shape),
+        "sign": sign_tensor(rng, m, n),
+        "scaled": rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape),
+        "integer": rng.integers(-3, 4, shape).astype(float),
+    }
 
 
 class TestMultilinearForm:
@@ -323,6 +386,28 @@ class TestSupNormExact:
         expected = {(1.0,) + rest for rest in itertools.product((-1.0, 1.0), repeat=n - 1)}
         assert signs.shape == (1 << (n - 1), n)
         assert set(map(tuple, signs.tolist())) == expected
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("m,n,cap", ORACLE_CASES)
+    def test_same_bits_as_the_reference(self, monkeypatch, m, n, cap):
+        if cap is not None:
+            monkeypatch.setattr(forms, "_CAP", cap)
+        for kind, coeffs in oracle_tensors(m, n).items():
+            assert forms._exact_norm(coeffs) == _reference_norm(coeffs), kind
+
+    @pytest.mark.parametrize("m,n", [(2, 16), (3, 10), (4, 6), (5, 5), (6, 4)])
+    def test_working_set_is_bounded(self, m, n):
+        # Breadth first without blocks, (3,10) alone would need 160 caps.
+        coeffs = np.random.default_rng(700 * m + n).standard_normal((n,) * m)
+        forms._exact_norm(coeffs)  # fills the sign cache
+        tracemalloc.start()
+        try:
+            forms._exact_norm(coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * forms._CAP * 8
 
 
 class TestCheckBudget:
