@@ -23,7 +23,12 @@ is one product rows.T @ _half_signs(N).T, whose output is the next slot's
 array without a copy; past _CAP, a slot's last terms are added depth
 first.  Each signed sum runs slot by slot and in index order, and each l1
 sum in the order np.add.reduce gives a contiguous row, so however the
-work is split the norm has the same bits.
+work is split the norm has the same bits.  Every sum is written into a
+workspace the norm allocates once per slot, on the slot's first visit:
+the product, then one buffer per depth-first term.  A term's buffer is
+rewritten only when the subtree that read it is done, _l1_max overwrites
+only the buffer of the leaf it ends, and a later slot reads an earlier
+slot's buffer but writes only its own, so reuse leaves every sum intact.
 
 In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
 ``_sign_products`` (S[r, k] is the product of pattern k's signs at the
@@ -206,13 +211,15 @@ def evaluate(form: MultilinearForm, args: Sequence[Sequence[float]]) -> float:
     return float(v)
 
 
-# Elements in any one array the exact-norm kernel allocates (2^14 doubles,
-# 128 KiB), unless a single tensor row is longer: small enough to stay in
-# cache.  Each slot holds one such array per depth-first term it adds.
-_CAP = 1 << 14
+# Elements in any one product or partial sum of the exact-norm kernel
+# (2^15 doubles, 256 KiB), unless a single tensor row is longer.  A slot's
+# workspace holds its product and one such sum per depth-first term.  Of
+# 2^13 to 2^16, the fastest whose peak memory stays within 2 MB of 2^14's;
+# 2^16 was faster at m = 3 but used 3 MB more.
+_CAP = 1 << 15
 
 # Unbounded: the kernel asks only for n with n * 2^(n-1) <= _CAP, so the
-# cache holds at most 11 matrices.
+# cache holds at most 12 matrices.
 @functools.lru_cache(maxsize=None)
 def _half_signs(n: int) -> np.ndarray:
     """The 2^(n-1) sign rows of length n with s[0] = +1, read-only."""
@@ -236,32 +243,37 @@ def _sign_products(m: int, n: int) -> np.ndarray:
     return rows
 
 
-def _sup_over_signs(x: np.ndarray, slots: int) -> float:
+def _sup_over_signs(x: np.ndarray, slots: int, work: dict) -> float:
     """Max over sign vectors in ``slots`` slots of the l1 sum that remains.
 
     ``x`` is (n, width), as in the module docstring.  Each signed sum takes
     its first ``head`` terms from one product, as many as let the later
     slots run breadth first within _CAP, and then each later term in turn,
-    depth first over its sign.
+    depth first over its sign.  ``work`` maps a slot count to its buffers,
+    the product and one per later term, allocated on the slot's first visit.
     """
     n, width = x.shape
     # Elements of the last slot's array per pattern of this slot, breadth first.
     later = width // n ** (slots - 1) << (n - 1) * (slots - 1)
     head = min(n, max(1, (_CAP // later).bit_length()))
-    return _add_rows(x[:head].T @ _half_signs(head).T, x, head, slots)
+    if slots not in work:
+        work[slots] = np.empty((n - head + 1, width, 1 << head - 1))
+    partial = np.matmul(x[:head].T, _half_signs(head).T, out=work[slots][0])
+    return _add_rows(partial, x, head, slots, work)
 
 
-def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int) -> float:
+def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int, work: dict) -> float:
     """Add +-x[j], ..., +-x[n-1] to ``partial`` (overwritten), then go on
-    with its (width, P) rows read as (n, width * P / n), with no copy."""
+    with its (width, P) rows read as (n, width * P / n), with no copy.  The
+    sum with +x[j] goes to the slot's buffer for term j, work[slots][j - n]."""
     n = len(x)
     if j < n:
         row = x[j, :, None]
-        best = _add_rows(partial + row, x, j + 1, slots)
+        best = _add_rows(np.add(partial, row, out=work[slots][j - n]), x, j + 1, slots, work)
         partial -= row
-        return max(best, _add_rows(partial, x, j + 1, slots))
+        return max(best, _add_rows(partial, x, j + 1, slots, work))
     rows = partial.reshape(n, -1)
-    return _sup_over_signs(rows, slots - 1) if slots > 1 else _l1_max(rows)
+    return _sup_over_signs(rows, slots - 1, work) if slots > 1 else _l1_max(rows)
 
 
 def _l1_max(x: np.ndarray) -> float:
@@ -301,7 +313,7 @@ def _exact_norm(coeffs: np.ndarray) -> float:
     if n >= 8:  # the last slot's blocks of eight in the leaf order of _l1_max's tree
         order = [b + i for b in range(0, n - 7, 8) for i in (0, 4, 2, 6, 1, 5, 3, 7)]
         coeffs = coeffs[..., order + list(range(len(order), n))]
-    return _sup_over_signs(coeffs.reshape(n, -1), coeffs.ndim - 1)
+    return _sup_over_signs(coeffs.reshape(n, -1), coeffs.ndim - 1, {})
 
 
 def _slot_coefficients(tensor: np.ndarray, signs: list, k: int) -> np.ndarray:

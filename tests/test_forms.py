@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -92,6 +94,9 @@ ORACLE_SHAPES = sorted(set(KERNEL_SHAPES) | {
 ORACLE_CASES = [(m, n, None) for m, n in ORACLE_SHAPES] + [
     (m, n, 16) for m, n in ORACLE_SHAPES if (m - 1) * (n - 1) <= 14
 ]
+# Every head the kernel can pick at the committed _CAP: a slot's expansion
+# per pattern is never below its head, so head * 2^(head-1) <= _CAP.
+KERNEL_HEADS = [h for h in range(1, 64) if h << (h - 1) <= forms._CAP]
 
 
 def _reference_norm(coeffs):
@@ -321,8 +326,9 @@ class TestSupNormExact:
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (4, 3), (6, 2)])
     def test_small_cap_forces_blocks_everywhere(self, monkeypatch, m, n):
-        # A 16-element cap splits every slot into many sign and batch blocks,
-        # and for m >= 4 one row of the first slot exceeds the cap on its own.
+        # A 16-element cap cuts every slot's head product to at most three
+        # terms, the rest added depth first, and for m >= 4 one row of the
+        # first slot exceeds the cap on its own.
         monkeypatch.setattr(forms, "_CAP", 16)
         rng = np.random.default_rng(300 * m + n)
         for coeffs in (sign_tensor(rng, m, n), rng.standard_normal((n,) * m)):
@@ -408,6 +414,49 @@ class TestKernelAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 16 * forms._CAP * 8
+
+
+class TestHeadProductOrder:
+    @pytest.mark.parametrize("head", KERNEL_HEADS)
+    def test_product_sums_the_terms_in_index_order(self, head):
+        # Independent of _reference_norm, which runs the same BLAS products:
+        # each entry of a slot's head product must be its terms x[i] * s[i]
+        # summed left to right, or the norm's bits depend on the BLAS.  A
+        # slot's width is at least its n >= 2 (at n = 1 the head is one
+        # term); a width-1 product is a gemv, which sums in another order.
+        rng = np.random.default_rng(800 + head)
+        signs = forms._half_signs(head)
+        for width in sorted({2, 7, 64, forms._CAP >> (head - 1)}):
+            plain = rng.standard_normal((head + 2, width))
+            for x in (plain, plain * 10.0 ** rng.uniform(-3.0, 3.0, plain.shape)):
+                expected = np.zeros((width, len(signs)))
+                for i in range(head):
+                    expected += x[i, :, None] * signs[:, i]
+                assert np.array_equal(x[:head].T @ signs.T, expected)
+                out = np.empty((2, width, len(signs)))[1]  # as the kernel's workspace
+                assert np.array_equal(np.matmul(x[:head].T, signs.T, out=out), expected)
+
+
+class TestThreads:
+    def test_concurrent_norms_keep_their_bits(self):
+        # Each norm owns its workspace, so threads agree with serial calls.
+        rng = np.random.default_rng(900)
+        cases = [MultilinearForm(rng.standard_normal((16,) * 2)),
+                 MultilinearForm(rng.standard_normal((8,) * 3))]
+        serial = [sup_norm_exact(form) for form in cases]
+
+        def norms(_):
+            return [[sup_norm_exact(form) for form in cases] for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                results = [future.result(timeout=120)
+                           for future in [pool.submit(norms, k) for k in range(2)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(run == serial for result in results for run in result)
 
 
 class TestCheckBudget:
