@@ -23,12 +23,10 @@ is one product rows.T @ _half_signs(N).T, whose output is the next slot's
 array without a copy; past _CAP, a slot's last terms are added depth
 first.  Each signed sum runs slot by slot and in index order, and each l1
 sum in the order np.add.reduce gives a contiguous row, so however the
-work is split the norm has the same bits.  Every sum is written into a
-workspace the norm allocates once per slot, on the slot's first visit:
-the product, then one buffer per depth-first term.  A term's buffer is
-rewritten only when the subtree that read it is done, _l1_max overwrites
-only the buffer of the leaf it ends, and a later slot reads an earlier
-slot's buffer but writes only its own, so reuse leaves every sum intact.
+work is split the norm has the same bits.  Each slot writes its product
+and one sum per depth-first term into buffers allocated per norm on its
+first visit; reuse is safe, as a term's buffer is rewritten only after
+its subtree, _l1_max overwrites only its leaf's, and later slots their own.
 
 In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
 ``_sign_products`` (S[r, k] is the product of pattern k's signs at the
@@ -46,6 +44,7 @@ is exact, so the table gives the kernel's norm bit for bit.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 from dataclasses import dataclass
@@ -212,10 +211,9 @@ def evaluate(form: MultilinearForm, args: Sequence[Sequence[float]]) -> float:
 
 
 # Elements in any one product or partial sum of the exact-norm kernel
-# (2^15 doubles, 256 KiB), unless a single tensor row is longer.  A slot's
-# workspace holds its product and one such sum per depth-first term.  Of
-# 2^13 to 2^16, the fastest whose peak memory stays within 2 MB of 2^14's;
-# 2^16 was faster at m = 3 but used 3 MB more.
+# (2^15 doubles, 256 KiB) unless a tensor row is longer.  Of 2^13 to 2^16,
+# the fastest whose peak memory stayed within 2 MB of 2^14's; 2^16 was
+# faster still but used 3 MB more.
 _CAP = 1 << 15
 
 # Unbounded: the kernel asks only for n with n * 2^(n-1) <= _CAP, so the
@@ -249,15 +247,20 @@ def _sup_over_signs(x: np.ndarray, slots: int, work: dict) -> float:
     ``x`` is (n, width), as in the module docstring.  Each signed sum takes
     its first ``head`` terms from one product, as many as let the later
     slots run breadth first within _CAP, and then each later term in turn,
-    depth first over its sign.  ``work`` maps a slot count to its buffers,
-    the product and one per later term, allocated on the slot's first visit.
+    depth first over its sign, into the slot's buffers in ``work``.
     """
     n, width = x.shape
     # Elements of the last slot's array per pattern of this slot, breadth first.
     later = width // n ** (slots - 1) << (n - 1) * (slots - 1)
     head = min(n, max(1, (_CAP // later).bit_length()))
     if slots not in work:
-        work[slots] = np.empty((n - head + 1, width, 1 << head - 1))
+        size = (n - head + 1) * width << head - 1
+        if size < _CAP >> 5:  # too small for its alignment to repay the address
+            work[slots] = np.empty((n - head + 1, width, 1 << head - 1))
+        else:  # on a 64-byte line, so that no vector load straddles two lines
+            raw = np.empty(size + 7)
+            start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) // 8 % 8
+            work[slots] = raw[start:start + size].reshape(n - head + 1, width, -1)
     partial = np.matmul(x[:head].T, _half_signs(head).T, out=work[slots][0])
     return _add_rows(partial, x, head, slots, work)
 
