@@ -27,19 +27,6 @@ work is split the norm has the same bits.  Each slot writes its product
 and one sum per depth-first term into buffers allocated per norm on its
 first visit; reuse is safe, as a term's buffer is rewritten only after
 its subtree, _l1_max overwrites only its leaf's, and later slots their own.
-
-In matrix form, with M = T.reshape(-1, N) and S the sign-product rows of
-``_sign_products`` (S[r, k] is the product of pattern k's signs at the
-first m-1 indices of row r), the norm is max_k R[k], where
-R = sum_c |P[c]| over the rows of the pattern table P = M.T @ S.
-Changing the entry ``old`` at row r, column c of M to ``new`` moves only
-P[c], by (new - old) * S[r], so a one-entry change is scored as
-max(R - |P[c]| + |P[c] + (new - old) * S[r]|) without a new enumeration.
-``verify.search_extremal`` scores its sign flips (new = -old) that way, a
-block of flips per pass against one table; the table changes only at the
-first flip it keeps, so each score is the one a flip scored alone gets.
-On a tensor of integers whose absolute sum is below 2^53 every such sum
-is exact, so the table gives the kernel's norm bit for bit.
 """
 
 from __future__ import annotations
@@ -227,20 +214,6 @@ def _half_signs(n: int) -> np.ndarray:
     return signs
 
 
-def _sign_products(m: int, n: int) -> np.ndarray:
-    """S: the (n^(m-1), 2^((m-1)(n-1))) sign products of the exact norm.
-
-    Row r, for the first m-1 indices (i1, ..., i(m-1)) of a row-major
-    tensor, holds s1[i1] * ... * s(m-1)[i(m-1)] for every pattern of the
-    kernel (s[0] = +1 in each slot), as the Kronecker product of m-1
-    copies of ``_half_signs(n).T``.  For m = 1 it is the 1x1 matrix [1].
-    """
-    rows = np.ones((1, 1))
-    for _ in range(m - 1):
-        rows = np.kron(rows, _half_signs(n).T)
-    return rows
-
-
 def _sup_over_signs(x: np.ndarray, slots: int, work: dict) -> float:
     """Max over sign vectors in ``slots`` slots of the l1 sum that remains.
 
@@ -281,9 +254,11 @@ def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int, work: dict
 
 def _l1_max(x: np.ndarray) -> float:
     """Max over columns of sum_i |x[i]|, x overwritten, each sum in the order
-    of np.add.reduce along a contiguous row: in turn below 8 terms, else
-    eight running sums, a pairwise tree over them, then the rest in turn.
-    ``_exact_norm`` puts each block of eight rows in its tree's leaf order."""
+    of np.add.reduce along a contiguous row of at most 128: in turn below 8
+    terms, else eight running sums, a pairwise tree over them, then the rest
+    in turn; the 24-bit budget keeps rows at n <= 25.  ``_exact_norm`` puts
+    each block of eight rows in its tree's leaf order, so that each level
+    adds contiguous halves: faster than strided pairs in natural order."""
     np.abs(x, out=x)
     stop = len(x) - len(x) % 8
     if stop:
@@ -313,7 +288,9 @@ def _exact_norm(coeffs: np.ndarray) -> float:
     if coeffs.ndim == 1:
         return float(np.abs(coeffs).sum())
     n = coeffs.shape[0]
-    if n >= 8:  # the last slot's blocks of eight in the leaf order of _l1_max's tree
+    # The last slot's blocks of eight in the leaf order of _l1_max's tree, so
+    # its levels add contiguous halves; strided pairs were slower on wide shapes.
+    if n >= 8:
         order = [b + i for b in range(0, n - 7, 8) for i in (0, 4, 2, 6, 1, 5, 3, 7)]
         coeffs = coeffs[..., order + list(range(len(order), n))]
     return _sup_over_signs(coeffs.reshape(n, -1), coeffs.ndim - 1, {})

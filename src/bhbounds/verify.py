@@ -37,8 +37,8 @@ from .forms import (
     _TINY,
     _UNDERFLOW,
     _exact_norm,
+    _half_signs,
     _lp_sums,
-    _sign_products,
     bh_ratio,
     check_budget,
     dump_form,
@@ -176,8 +176,8 @@ def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
 def _given_state():
     """An ISeedSequence that hands its bit generator fixed state words.
 
-    Defined on first use: a subclass made at import would load
-    numpy.random into every process that imports bhbounds.
+    Defined on first use, not at import: any ``forms`` name read through the
+    package also loads this module, and norms alone need no numpy.random.
     """
 
     class GivenState(np.random.bit_generator.ISeedSequence):
@@ -464,14 +464,12 @@ def search_extremal(
 
     Each restart draws a +-1 tensor and walks it: a proposal flips one
     random entry and is kept only if it strictly lowers the exact norm.
-    Every entry stays +-1, so ``bh_lhs`` is the same for every tensor of
-    the search and a lower norm, an integer of at most N^m <= 2^20, is
-    exactly a higher ratio.  Proposals are scored from the pattern table
-    of the ``forms`` module docstring while S and P together hold at most
-    MAX_TENSOR_ENTRIES entries, a block of proposals per pass, and one by
-    one through the kernel past that.  Both give the same norms, and a
-    block keeps only its first improving proposal before scoring resumes
-    after it, so the walk changes with neither cap.
+    Every entry stays +-1, so ``bh_lhs`` is the same for every tensor of the
+    search and a lower norm, an integer of at most N^m <= 2^20, is exactly a
+    higher ratio.  While S and P together hold at most MAX_TENSOR_ENTRIES
+    entries, ``_walk_by_table`` scores proposals a block at a time from its
+    pattern table, and past that ``_walk_by_kernel`` one by one; both keep
+    the flips of scoring one by one, so the walk changes with neither cap.
 
     The shape passes ``check_budget`` before any draw.  The first restart
     to reach the smallest norm wins, and ``bh_ratio`` certifies it.
@@ -495,17 +493,32 @@ def search_extremal(
     return SearchState(best, bh_ratio(best), restarts * iterations, restarts)
 
 
+def _sign_products(m: int, n: int) -> np.ndarray:
+    """S: the (n^(m-1), 2^((m-1)(n-1))) sign products of the exact norm.
+
+    Row r, for the first m-1 indices (i1, ..., i(m-1)) of a row-major
+    tensor, holds s1[i1] * ... * s(m-1)[i(m-1)] for each kernel pattern,
+    built uncached, so that the kernel's sign cache holds only its heads.
+    """
+    signs = _half_signs.__wrapped__(n).T
+    return functools.reduce(np.kron, [signs] * (m - 1), np.ones((1, 1)))
+
+
 def _walk_by_table(
     signs: np.ndarray, rng: np.random.Generator, iterations: int, products: np.ndarray
 ) -> float:
     """Walk ``signs`` in place, scoring proposals from the pattern table; returns its norm.
 
-    Proposals are scored a block at a time, at most _BH_BLOCK_COEFFS table
-    entries (but at least one proposal) per block, with the elementwise
-    operations of scoring them one by one.  The first candidate below the
-    norm is kept, and scoring resumes at the proposal after it: nothing
-    changes before that flip, so every score and kept flip is the one-by-one
-    walk's, bit for bit.
+    With M = signs.reshape(-1, n) and S = ``products``, the norm is max_k
+    R[k], R = sum_c |P[c]| over the rows of the pattern table P = M.T @ S.
+    Flipping the entry ``old`` at row r, column c of M moves only P[c], by
+    -2 * old * S[r], so a flip scores max(R - |P[c]| + |P[c] - 2 * old * S[r]|)
+    with no new enumeration, exact on a +-1 tensor.  Proposals are scored a
+    block at a time, at most _BH_BLOCK_COEFFS table entries (but at least
+    one proposal) per block, with the elementwise operations of scoring
+    them one by one.  The first candidate below the norm is kept, and
+    scoring resumes at the proposal after it: nothing changes before that
+    flip, so every score and kept flip is the one-by-one walk's, bit for bit.
     """
     m, n = signs.ndim, signs.shape[0]
     rows = signs.reshape(-1, n)

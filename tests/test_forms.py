@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhbounds import forms
+from bhbounds import forms, verify
 from bhbounds.constants import SchemeId, constant
 from bhbounds.exponents import bh_exponent
 from bhbounds.forms import (
@@ -81,13 +81,15 @@ def sign_tensor(rng, m, n):
 KERNEL_SHAPES = [(2, 16), (3, 8), (3, 9), (5, 3), (6, 3), (9, 2), (10, 2)]
 
 
-# Every kernel shape, the battery's, the benchmark's deep shapes, and last
-# slots of at least 8 and 16 coordinates, where numpy's row sum turns
-# pairwise; at (2,15) seven terms follow the block of eight.
+# Every kernel shape, the battery's, the benchmark's deep shapes and two of
+# its wide ones, and last slots of 8 to 20 coordinates, where numpy's row
+# sum turns pairwise: every remainder of 0 to 7 terms after one block of
+# eight, and of 0 to 4 after two.
 ORACLE_SHAPES = sorted(set(KERNEL_SHAPES) | {
     (2, 2), (2, 3), (3, 3), (4, 2),
-    (4, 6), (5, 5), (6, 4), (7, 3), (9, 2), (10, 2),
-    (2, 9), (2, 15), (2, 17), (3, 8),
+    (4, 6), (5, 5), (6, 4), (7, 3), (9, 2), (10, 2), (2, 20), (3, 10),
+    (2, 9), (2, 10), (2, 11), (2, 12), (2, 13), (2, 14), (2, 15),
+    (2, 17), (2, 18), (2, 19), (3, 8),
 })
 # A 16-element cap splits every slot down to single columns and terms; it
 # runs the shapes of at most 14 sign bits, where that takes under a second.
@@ -364,7 +366,7 @@ class TestSupNormExact:
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
     def test_pattern_table_max_is_exact_norm(self, m, n):
         # The table behind the search walk: P = M.T @ S, norm = max_k sum_c |P[c, k]|.
-        products = forms._sign_products(m, n)
+        products = verify._sign_products(m, n)
         assert products.shape == (n ** (m - 1), 1 << ((m - 1) * (n - 1)))
         rng = np.random.default_rng(500 * m + n)
         for _ in range(5):
@@ -381,7 +383,7 @@ class TestSupNormExact:
                   for idx in itertools.product(range(n), repeat=m - 1))
             for pattern in itertools.product(half, repeat=m - 1)
         }
-        columns = set(map(tuple, forms._sign_products(m, n).T.tolist()))
+        columns = set(map(tuple, verify._sign_products(m, n).T.tolist()))
         assert columns == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -392,6 +394,17 @@ class TestSupNormExact:
         expected = {(1.0,) + rest for rest in itertools.product((-1.0, 1.0), repeat=n - 1)}
         assert signs.shape == (1 << (n - 1), n)
         assert set(map(tuple, signs.tolist())) == expected
+
+    def test_search_table_leaves_the_sign_cache_to_the_kernel(self):
+        # The walk's S at (2,16) needs the n = 16 sign rows, 4 MB that the
+        # kernel never asks for; the cache must not keep them.
+        coeffs = np.random.default_rng(16).standard_normal((16, 16))
+        forms._half_signs.cache_clear()
+        bh_ratio(MultilinearForm(coeffs))
+        kernel_only = forms._half_signs.cache_info().currsize
+        forms._half_signs.cache_clear()
+        verify.search_extremal(2, 16, restarts=1, iterations=0)
+        assert forms._half_signs.cache_info().currsize == kernel_only
 
 
 class TestKernelAgainstReference:
