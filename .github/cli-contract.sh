@@ -2,8 +2,8 @@
 # What only the installed `bhbounds` console script can show: that it runs,
 # that main's exit code passes through its entry point, and how it exits on
 # a closed stdout.  Every other CLI check is a tier-1 test in
-# tests/test_cli.py.  Shared by every CI job that installs the package: run
-# it with `bash .github/cli-contract.sh` and RUNNER_TEMP set to a writable
+# tests/test_cli.py.  Every entry of the CI test matrix runs it: run it
+# with `bash .github/cli-contract.sh` and RUNNER_TEMP set to a writable
 # directory.
 set -eo pipefail
 

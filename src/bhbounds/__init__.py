@@ -4,10 +4,10 @@ forms, plus exact-enumeration verification of the inequalities behind them.
 The public names are each module's ``__all__``, all importable from here.
 ``constants``, ``exponents`` and ``khinchine`` need only the standard
 library and load with the package.  ``forms`` and ``verify`` import numpy,
-so they load on first use: a first reference to either module, or to a
-public name the other three lack.  Each ends by calling ``_bind``, so from
-the moment either is imported, by whatever route, the package holds all
-of its public names.
+so each loads on first use: a first reference to it, or to one of its
+public names.  ``verify`` imports ``forms`` and numpy.random; a ``forms``
+name loads ``forms`` alone.  Each ends by calling ``_bind``, so once
+either is imported, by whatever route, the package holds its public names.
 """
 
 import importlib
@@ -33,12 +33,13 @@ def __getattr__(name):
     # No private name is public, and `from bhbounds import cli` asks here
     # for `cli` before importing it: neither loads numpy.
     if name == "__all__" or not (name.startswith("_") or name == "cli"):
-        forms, verify = map(__getattr__, _LAZY)
-        if name == "__all__":
+        # forms first, so that one of its names never loads verify.
+        for module in map(__getattr__, _LAZY):
+            if name in module.__all__:
+                return getattr(module, name)
+        if name == "__all__":  # the loop above imported forms and verify
             modules = (constants, exponents, forms, khinchine, verify)
             return [public for module in modules for public in module.__all__]
-        if name in globals():
-            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -21,35 +21,29 @@ from .constants import ConstantsTable, Log2Constant, SchemeId, constant, table
 if TYPE_CHECKING:
     from .verify import VerificationReport
 
-# Suite -> (runner taking the verify module and the parsed flags, {flag:
-# default} for every flag it takes beyond --seed and --format, the battery's
-# runs as flags over those defaults).  `forms` and `verify` import numpy,
-# which `table` never needs, so each command imports them when it runs.  A
-# runner looks its library function up on the `bhbounds.verify` module when
-# called, so a rebinding of that module attribute reaches it.
+# Suite -> (its `bhbounds.verify` function, {flag: default} for every flag it
+# takes beyond --seed and --format, the battery's runs as flags over those
+# defaults).  `_run_suite` looks the function up on that module when it runs,
+# so a rebinding of the module attribute reaches it, and passes the row's
+# flags as keywords.  `forms` and `verify` import numpy, which `table` never
+# needs, so each command imports them when it runs.
 _SUITES = {
-    "khinchine": (lambda v, a: v.run_khinchine_suite(count=a.count, seed=a.seed),
-                  {"count": 100}, ({},)),
-    "kcc": (lambda v, a: v.run_kcc_suite(count=a.count, seed=a.seed), {"count": 100}, ({},)),
-    "blei": (lambda v, a: v.run_blei_suite(count=a.count, seed=a.seed), {"count": 1000}, ({},)),
-    "tensor": (lambda v, a: v.run_tensor_suite(count=a.count, seed=a.seed),
-               {"count": 200}, ({},)),
-    "bh": (
-        lambda v, a: v.run_bh_trials(a.m, a.n, a.count, a.seed, failure_dir=a.dump_dir),
-        {"count": 1000, "m": 2, "n": 2, "dump_dir": None},
-        ({"m": 2, "n": 2, "count": 10000}, {"m": 3, "n": 3, "count": 1000},
-         {"m": 4, "n": 2, "count": 100}),
-    ),
-    "summing": (
-        lambda v, a: v.check_multiple_summing(a.m, a.n, a.j, a.count, a.seed,
-                                              failure_dir=a.dump_dir),
-        {"count": 1000, "m": 2, "n": 2, "dump_dir": None, "j": 3}, ({},),
-    ),
+    "khinchine": ("run_khinchine_suite", {"count": 100}, ({},)),
+    "kcc": ("run_kcc_suite", {"count": 100}, ({},)),
+    "blei": ("run_blei_suite", {"count": 1000}, ({},)),
+    "tensor": ("run_tensor_suite", {"count": 200}, ({},)),
+    "bh": ("run_bh_trials", {"count": 1000, "m": 2, "n": 2, "dump_dir": None},
+           ({"m": 2, "n": 2, "count": 10000}, {"m": 3, "n": 3, "count": 1000},
+            {"m": 4, "n": 2, "count": 100})),
+    "summing": ("check_multiple_summing",
+                {"count": 1000, "m": 2, "n": 2, "dump_dir": None, "j": 3}, ({},)),
 }
 
 # Every flag a row may hold, in the order an error lists them.  Each is
-# spelled "--" and its name with "_" as "-".
+# spelled "--" and its name with "_" as "-", and passed as the keyword that
+# `_PARAMS` names, or as its own name.
 _SUITE_FLAGS = ("count", "m", "n", "j", "dump_dir")
+_PARAMS = {"n": "N", "j": "J", "dump_dir": "failure_dir"}
 
 # The largest table row: `table --m-max 100000` already takes 4 to 5 s and
 # about 95 MB on a 2 vCPU Xeon in any format, and the cost grows with m.
@@ -165,9 +159,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _emit_reports(reports: Sequence[VerificationReport], fmt: str) -> None:
-    from .verify import VerificationReport
-
-    names = [f.name for f in fields(VerificationReport)]
+    names = [f.name for f in fields(reports[0])]
     if fmt == "csv":
         print(",".join(names))
     for report in reports:
@@ -198,8 +190,13 @@ def _run_suite(args: argparse.Namespace) -> list[VerificationReport]:
     from . import verify
 
     rows = _SUITES.values() if battery else [_SUITES[args.suite]]
-    return [runner(verify, argparse.Namespace(**{**vars(args), **defaults, **given, **run}))
-            for runner, defaults, runs in rows for run in (runs if battery else ({},))]
+    reports = []
+    for function, defaults, runs in rows:
+        for run in runs if battery else ({},):
+            flags = {**defaults, **given, **run}
+            keywords = {_PARAMS.get(flag, flag): flags[flag] for flag in defaults}
+            reports.append(getattr(verify, function)(seed=args.seed, **keywords))
+    return reports
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -172,22 +172,14 @@ def _seed_words(seed: int, indices: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
-@functools.lru_cache(maxsize=None)
-def _given_state():
-    """An ISeedSequence that hands its bit generator fixed state words.
+class _GivenState(np.random.bit_generator.ISeedSequence):
+    """An ISeedSequence that hands its bit generator fixed state words."""
 
-    Defined on first use, not at import: any ``forms`` name read through the
-    package also loads this module, and norms alone need no numpy.random.
-    """
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
 
-    class GivenState(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray) -> None:
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return GivenState
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
@@ -196,11 +188,10 @@ def _trial_rngs(seed: int, count: int) -> Iterator[np.random.Generator]:
     The seed words come from ``_seed_words``, _SEED_BLOCK indices at a
     time; ``count`` must not exceed _MAX_TRIALS.
     """
-    given = _given_state()
     for first in range(0, count, _SEED_BLOCK):
         indices = np.arange(first, min(first + _SEED_BLOCK, count))
         for words in _seed_words(seed, indices):
-            yield np.random.Generator(np.random.PCG64(given(words)))
+            yield np.random.Generator(np.random.PCG64(_GivenState(words)))
 
 
 def rademacher_sums(a: Sequence[float]) -> np.ndarray:

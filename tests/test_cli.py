@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -485,6 +486,72 @@ class TestDumpDir:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and str(blocker) in err
+
+
+class TestSuiteCalls:
+    """Each suite reaches its library function through the `bhbounds.verify`
+    attribute at call time, the binding that perfbench's tracer rebinds."""
+
+    FUNCTIONS = ("run_khinchine_suite", "run_kcc_suite", "run_blei_suite",
+                 "run_tensor_suite", "run_bh_trials", "check_multiple_summing")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def recorder(name):
+            signature = inspect.signature(getattr(verify, name))
+
+            def record(*args, **kwargs):
+                # Keyed by parameter name, however the arguments were passed.
+                calls.append((name, dict(signature.bind(*args, **kwargs).arguments)))
+                return verify.VerificationReport(name, 1, 0, 0.0, 0.0, 0)
+
+            return record
+
+        for name in self.FUNCTIONS:
+            monkeypatch.setattr(verify, name, recorder(name))
+        return calls
+
+    @pytest.mark.parametrize("suite, flags, call", [
+        ("khinchine", (), ("run_khinchine_suite", {})),
+        ("kcc", (), ("run_kcc_suite", {})),
+        ("blei", (), ("run_blei_suite", {})),
+        ("tensor", (), ("run_tensor_suite", {})),
+        ("bh", ("--m", "3", "--n", "4"), ("run_bh_trials", {"m": 3, "N": 4})),
+        ("summing", ("--m", "3", "--n", "2", "--j", "4"),
+         ("check_multiple_summing", {"m": 3, "N": 2, "J": 4})),
+    ], ids=("khinchine", "kcc", "blei", "tensor", "bh", "summing"))
+    def test_each_suite_calls_its_function_with_every_flag(
+        self, capsys, calls, tmp_path, suite, flags, call
+    ):
+        name, params = call
+        if name in ("run_bh_trials", "check_multiple_summing"):
+            flags += ("--dump-dir", str(tmp_path))
+            params = {**params, "failure_dir": str(tmp_path)}
+        code, _, err = run_cli(
+            capsys, "verify", "--suite", suite, "--count", "7", "--seed", "5", *flags
+        )
+        assert (code, err) == (0, "")
+        assert calls == [(name, {**params, "count": 7, "seed": 5})]
+
+    def test_battery_calls_every_function_in_order(self, capsys, calls, tmp_path):
+        dump = str(tmp_path)
+        code, out, _ = run_cli(capsys, "verify", "--seed", "4", "--dump-dir", dump)
+        assert (code, len(out.splitlines())) == (0, 8)
+        assert calls == [
+            ("run_khinchine_suite", {"count": 100, "seed": 4}),
+            ("run_kcc_suite", {"count": 100, "seed": 4}),
+            ("run_blei_suite", {"count": 1000, "seed": 4}),
+            ("run_tensor_suite", {"count": 200, "seed": 4}),
+            ("run_bh_trials", {"m": 2, "N": 2, "count": 10000, "seed": 4, "failure_dir": dump}),
+            ("run_bh_trials", {"m": 3, "N": 3, "count": 1000, "seed": 4, "failure_dir": dump}),
+            ("run_bh_trials", {"m": 4, "N": 2, "count": 100, "seed": 4, "failure_dir": dump}),
+            ("check_multiple_summing",
+             {"m": 2, "N": 2, "J": 3, "count": 1000, "seed": 4, "failure_dir": dump}),
+        ]
+        dumped = {name for name, params in calls if "failure_dir" in params}
+        assert dumped == {"run_bh_trials", "check_multiple_summing"}
 
 
 class TestUsage:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bhbounds
 from bhbounds import cli, constants, exponents, forms, khinchine, verify
 
@@ -54,6 +56,24 @@ def test_importing_verify_binds_every_public_name_in_the_package():
     # No attribute of the package is read before its namespace is checked.
     code = "import sys\nimport bhbounds.verify\nscope = vars(sys.modules['bhbounds'])\n"
     assert _fresh(code + _EVERY_PUBLIC_NAME) == (0, "[]\n", "")
+
+
+def test_a_forms_name_loads_forms_alone():
+    # verify imports numpy.random, which a process that only takes norms
+    # never needs; a verify name then binds every public name here.
+    code = (
+        "import sys, numpy\nby_numpy = 'numpy.random' in sys.modules\nimport bhbounds\n"
+        "bhbounds.sup_norm_exact(bhbounds.MultilinearForm([[1.0, 1.0], [1.0, -1.0]]))\n"
+        "print('bhbounds.verify' in sys.modules, by_numpy, 'numpy.random' in sys.modules)\n"
+        "bhbounds.run_bh_trials\nscope = vars(bhbounds)\n"
+    )
+    status, out, err = _fresh(code + _EVERY_PUBLIC_NAME)
+    loaded, unbound = out.splitlines()
+    verify_loaded, by_numpy, random_loaded = loaded.split()
+    assert (status, err, verify_loaded, unbound) == (0, "", "False", "[]")
+    if by_numpy == "True":
+        pytest.skip("this numpy loads numpy.random on import itself")
+    assert random_loaded == "False"
 
 
 def test_package_all_and_dir_cover_every_module():
