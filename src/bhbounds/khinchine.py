@@ -5,7 +5,9 @@ The lower constant A_p (0 < p <= 2) follows Haagerup's two-regime formula
     A_p = 2^(1/2 - 1/p)                                   for p <= p0,
     A_p = sqrt(2) * (Gamma((p+1)/2) / sqrt(pi))^(1/p)     for p0 < p <= 2,
 
-where p0 ~ 1.8474 is the exponent at which the two expressions agree.
+where p0 = 1.847416336076342, the double nearest the root below 2 of
+Gamma((p+1)/2) = sqrt(pi)/2: there the two expressions agree.  The
+equation's other root, p = 2, is why both give A_2 = 1.
 The upper constant B_p equals 1 for every p <= 2 (Jensen), and
 
     A_{2,r} <= A_r^{-1} B_2 = A_r^{-1}
@@ -69,27 +71,13 @@ def gamma_branch(p: float) -> float:
     return math.sqrt(2.0) * math.exp((ln_gamma((p + 1.0) / 2.0) - _LOG_SQRT_PI) / p)
 
 
-def _bisect_crossover() -> float:
-    # gamma_branch - power_branch is positive at 1.8 and negative at 1.9;
-    # 60 halvings push the bracket far below the 1e-12 target.
-    lo, hi = 1.8, 1.9
-    lo_positive = gamma_branch(lo) - power_branch(lo) > 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if (gamma_branch(mid) - power_branch(mid) > 0.0) == lo_positive:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-# Computed once at import so every branch decision in the process sees the
-# same threshold.
-_P0 = _bisect_crossover()
+# The root below 2 of Gamma((p+1)/2) = sqrt(pi)/2, rounded to the nearest double.
+_P0 = 1.847416336076342
 
 
 def haagerup_crossover() -> float:
-    """The exponent p0 where the two A_p formulas agree (~1.8474)."""
+    """p0, where the A_p formulas agree: the root below 2 of Gamma((p+1)/2) =
+    sqrt(pi)/2, correctly rounded (the other root, p = 2, gives A_2 = 1)."""
     return _P0
 
 

@@ -1,12 +1,14 @@
 import math
 import re
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from bhbounds import cli, constants
 from bhbounds.khinchine import (
     Branch,
     gamma_branch,
@@ -78,6 +80,40 @@ class TestCrossover:
     def test_branch_continuity(self):
         p0 = haagerup_crossover()
         assert power_branch(p0) == pytest.approx(gamma_branch(p0), rel=1e-10)
+
+    def test_is_the_correctly_rounded_root(self):
+        # The two formulas agree where Gamma((p+1)/2) = sqrt(pi)/2; its root
+        # near 1.85, at 50 digits, must be nearer p0 than either neighbour.
+        with mpmath.workdps(50):
+            root = mpmath.findroot(
+                lambda p: mpmath.gamma((p + 1) / 2) - mpmath.sqrt(mpmath.pi) / 2, mpmath.mpf("1.85")
+            )
+        man, exp = root.man_exp
+        exact = Fraction(man) * Fraction(2) ** exp
+        p0 = haagerup_crossover()
+        assert p0 == 1.847416336076342
+        candidates = (math.nextafter(p0, 0.0), p0, math.nextafter(p0, 2.0))
+        assert min(candidates, key=lambda c: abs(Fraction(c) - exact)) == p0
+
+
+class TestBranchMargins:
+    def test_no_package_exponent_is_near_the_crossover(self):
+        # Every exponent the package passes to khinchine_A, built as the code
+        # builds it: the recurrence steps up to the table's m cap, then the
+        # suites' fixed exponents (kcc's pairs whole, though p only reaches
+        # khinchine_B; tensor's r through khinchine_A2r).  None may lie so
+        # near p0 that p0's last bits pick its branch.
+        exponents = [pn / pd for (pn, pd), _, _ in
+                     map(constants._cor52_step, range(3, cli._TABLE_M_MAX + 1))]
+        exponents += [pn / pd for (pn, pd), _, _ in
+                      map(constants._new_step, range(4, cli._TABLE_M_MAX + 1))]
+        exponents += [1.0, 4.0 / 3.0, 1.5, 1.8, 2.0]
+        kcc_pairs = ((2.0, 4.0 / 3.0), (2.0, 1.0), (1.5, 1.0), (4.0 / 3.0, 4.0 / 3.0), (1.8, 1.5))
+        exponents += [p for pair in kcc_pairs for p in pair]
+        exponents += [1.0, 4.0 / 3.0, 1.5, 2.0]
+        p0 = haagerup_crossover()
+        nearest = min(exponents, key=lambda p: abs(p - p0))
+        assert abs(nearest - p0) > 1e-6, nearest
 
 
 class TestKhinchineA:
