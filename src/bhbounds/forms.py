@@ -27,6 +27,10 @@ work is split the norm has the same bits.  Each slot writes its product
 and one sum per depth-first term into buffers allocated per norm on its
 first visit; reuse is safe, as a term's buffer is rewritten only after
 its subtree, _l1_max overwrites only its leaf's, and later slots their own.
+Each visit first fills every depth-first term as a full plane of the
+product's shape in the same allocation, so the adds and subtracts run as
+contiguous loops, not broadcasts of one column: about twice as fast, with
+each element given the same addend in the same order.
 """
 
 from __future__ import annotations
@@ -226,28 +230,37 @@ def _sup_over_signs(x: np.ndarray, slots: int, work: dict) -> float:
     # Elements of the last slot's array per pattern of this slot, breadth first.
     later = width // n ** (slots - 1) << (n - 1) * (slots - 1)
     head = min(n, max(1, (_CAP // later).bit_length()))
+    tail = n - head
+    bufs = 1 + 2 * tail  # the product, each term's plane, each term's sum
     if slots not in work:
-        size = (n - head + 1) * width << head - 1
+        size = bufs * width << head - 1
         if size < _CAP >> 5:  # too small for its alignment to repay the address
-            work[slots] = np.empty((n - head + 1, width, 1 << head - 1))
+            work[slots] = np.empty((bufs, width, 1 << head - 1))
         else:  # on a 64-byte line, so that no vector load straddles two lines
             raw = np.empty(size + 7)
             start = -ctypes.addressof(ctypes.c_char.from_buffer(raw)) // 8 % 8
-            work[slots] = raw[start:start + size].reshape(n - head + 1, width, -1)
+            work[slots] = raw[start:start + size].reshape(bufs, width, -1)
     partial = np.matmul(x[:head].T, _half_signs(head).T, out=work[slots][0])
-    return _add_rows(partial, x, head, slots, work)
+    terms = None
+    if tail:  # filled once, so that each add and subtract runs contiguous
+        terms = work[slots][1:1 + tail]
+        np.copyto(terms, x[head:, :, None])
+    return _add_rows(partial, terms, head, n, slots, work)
 
 
-def _add_rows(partial: np.ndarray, x: np.ndarray, j: int, slots: int, work: dict) -> float:
+def _add_rows(partial: np.ndarray, terms: Optional[np.ndarray], j: int, n: int,
+              slots: int, work: dict) -> float:
     """Add +-x[j], ..., +-x[n-1] to ``partial`` (overwritten), then go on
-    with its (width, P) rows read as (n, width * P / n), with no copy.  The
-    sum with +x[j] goes to the slot's buffer for term j, work[slots][j - n]."""
-    n = len(x)
+    with its (width, P) rows read as (n, width * P / n), with no copy.  x[j]
+    is read as terms[j - n], which the slot's visit filled as a full (width,
+    P) plane: an add or subtract of a broadcast column ran about twice as
+    long as of a plane, and a plane serves 2^(j - head) adds.  The sum with
+    +x[j] goes to the slot's buffer for term j, work[slots][j - n]."""
     if j < n:
-        row = x[j, :, None]
-        best = _add_rows(np.add(partial, row, out=work[slots][j - n]), x, j + 1, slots, work)
+        row, out = terms[j - n], work[slots][j - n]
+        best = _add_rows(np.add(partial, row, out=out), terms, j + 1, n, slots, work)
         partial -= row
-        return max(best, _add_rows(partial, x, j + 1, slots, work))
+        return max(best, _add_rows(partial, terms, j + 1, n, slots, work))
     rows = partial.reshape(n, -1)
     return _sup_over_signs(rows, slots - 1, work) if slots > 1 else _l1_max(rows)
 
@@ -342,8 +355,9 @@ def _lp_sums(rows: np.ndarray, p: float) -> list:
     Python float (numpy's array power can differ by 1 ulp).  ValueError if a
     sum overflows, or if a nonzero item's sum is not a normal float."""
     powers = np.abs(rows)
-    powers **= p
-    sums = np.add.reduce(powers, axis=tuple(range(1, powers.ndim)))
+    with np.errstate(over="ignore"):  # refused below, without a warning first
+        powers **= p
+        sums = np.add.reduce(powers, axis=tuple(range(1, powers.ndim)))
     if not np.isfinite(sums).all():
         raise ValueError(_OVERFLOW)
     if (sums < _TINY).any() and rows[sums < _TINY].any():

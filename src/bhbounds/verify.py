@@ -207,7 +207,8 @@ def rademacher_sums(a: Sequence[float]) -> np.ndarray:
 def _moment(values: np.ndarray, p: float) -> float:
     """(mean |v|^p)^(1/p) of a 1-D array: numpy's power, pairwise mean, scalar root;
     ValueError if the mean overflows, or is not a normal float for nonzero v."""
-    mean = np.mean(np.abs(values) ** p)
+    with np.errstate(over="ignore"):  # refused below, without a warning first
+        mean = np.mean(np.abs(values) ** p)
     if not math.isfinite(mean):
         raise ValueError(_OVERFLOW)
     if mean < _TINY and values.any():
@@ -224,7 +225,8 @@ def rademacher_moment(a: Sequence[float], p: float) -> float:
 
 def _l2(arr: np.ndarray) -> float:
     """numpy's l2 norm; ValueError if a nonzero array's sum of squares is subnormal or 0."""
-    norm = float(np.linalg.norm(arr))
+    with np.errstate(over="ignore"):  # an infinite norm is refused by _holds
+        norm = float(np.linalg.norm(arr))
     if norm < math.sqrt(_TINY) and arr.any():
         raise ValueError(_UNDERFLOW)
     return norm
@@ -281,14 +283,15 @@ def check_blei(matrix: Sequence[Sequence[float]], q: float, s1: float, s2: float
     f12 = float(blei_f(params))
     f21 = float(blei_f(params, reverse=True))
     lhs = _lp_sums(mat[None], w)[0]
-    powers = mat**q
-    row_sums, col_sums = powers.sum(axis=1), powers.sum(axis=0)
-    # Positive entries: a sum that is not a normal float has underflowed, and
-    # the later sums, of s1 and s2 powers of the q-norms (s < q), cannot.
-    if min(row_sums.min(), col_sums.min()) < _TINY:
-        raise ValueError(_UNDERFLOW)
-    row_norms, col_norms = row_sums ** (1.0 / q), col_sums ** (1.0 / q)
-    rhs = float((row_norms**s1).sum() ** (f12 / s1) * (col_norms**s2).sum() ** (f21 / s2))
+    with np.errstate(over="ignore"):  # an infinite rhs is refused by _holds
+        powers = mat**q
+        row_sums, col_sums = powers.sum(axis=1), powers.sum(axis=0)
+        # Positive entries: a sum that is not a normal float has underflowed,
+        # and the later sums, of s1 and s2 powers of the q-norms (s < q), cannot.
+        if min(row_sums.min(), col_sums.min()) < _TINY:
+            raise ValueError(_UNDERFLOW)
+        row_norms, col_norms = row_sums ** (1.0 / q), col_sums ** (1.0 / q)
+        rhs = float((row_norms**s1).sum() ** (f12 / s1) * (col_norms**s2).sum() ** (f21 / s2))
     return {"lhs": lhs, "rhs": rhs, "holds": _holds(lhs, rhs)}
 
 
@@ -305,11 +308,14 @@ def _chaos_values(tensor: np.ndarray) -> np.ndarray:
         raise ValueError(f"m*N = {bits} is over the exact-expectation cap of "
                          f"{EXPECTATION_MAX_BITS}")
     values = tensor
-    for _ in range(tensor.ndim):
-        sums = np.zeros(values.shape[1:] + (1,))
-        for row in values:
-            sums = np.concatenate([sums + row[..., None], sums - row[..., None]], axis=-1)
-        values = sums
+    # An overflowed sum is inf, and inf - inf in a later slot NaN: _moment
+    # refuses either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tensor.ndim):
+            sums = np.zeros(values.shape[1:] + (1,))
+            for row in values:
+                sums = np.concatenate([sums + row[..., None], sums - row[..., None]], axis=-1)
+            values = sums
     return values.ravel()
 
 

@@ -96,6 +96,10 @@ ORACLE_SHAPES = sorted(set(KERNEL_SHAPES) | {
 ORACLE_CASES = [(m, n, None) for m, n in ORACLE_SHAPES] + [
     (m, n, 16) for m, n in ORACLE_SHAPES if (m - 1) * (n - 1) <= 14
 ]
+# A 2^10 cap leaves each m = 2 slot several pattern columns and depth-first
+# terms, whose adds read the planes the slot fills: at (2,9), head 7 with 2
+# terms on 64 columns.  At cap 16 these slots have one column or no terms.
+ORACLE_CASES += [(m, n, 1 << 10) for m, n in ORACLE_SHAPES if m == 2]
 # Every head the kernel can pick at the committed _CAP: a slot's expansion
 # per pattern is never below its head, so head * 2^(head-1) <= _CAP.
 KERNEL_HEADS = [h for h in range(1, 64) if h << (h - 1) <= forms._CAP]
@@ -415,9 +419,10 @@ class TestKernelAgainstReference:
         for kind, coeffs in oracle_tensors(m, n).items():
             assert forms._exact_norm(coeffs) == _reference_norm(coeffs), kind
 
-    @pytest.mark.parametrize("m,n", [(2, 16), (3, 10), (4, 6), (5, 5), (6, 4)])
+    @pytest.mark.parametrize("m,n", [(2, 16), (2, 20), (3, 10), (4, 6), (5, 5), (6, 4)])
     def test_working_set_is_bounded(self, m, n):
-        # Breadth first without blocks, (3,10) alone would need 160 caps.
+        # Breadth first without blocks, (3,10) alone would need 160 caps; at
+        # (2,20) the slot's term planes are nearly half of the peak.
         coeffs = np.random.default_rng(700 * m + n).standard_normal((n,) * m)
         forms._exact_norm(coeffs)  # fills the sign cache
         tracemalloc.start()
@@ -637,6 +642,11 @@ class TestBhRatio:
         for call in (bh_lhs, bh_ratio, lambda f: bh_ratio(load_form(path))):
             with pytest.raises(ValueError, match=OVERFLOW):
                 call(form)
+        # Each |entry|^(4/3), about 1e308, is finite; only their sum overflows.
+        finite_powers = MultilinearForm(1e231 * LITTLEWOOD)
+        for call in (bh_lhs, bh_ratio):
+            with pytest.raises(ValueError, match=OVERFLOW):
+                call(finite_powers)
 
     def test_underflow_rejected(self):
         # Every |entry|^(4/3) rounds to 0 (they returned 0.0), or to a
