@@ -77,7 +77,7 @@ EXPECTATION_MAX_BITS = 20
 _SEED_BLOCK = 1 << 12
 
 # A bh block holds at most this many coefficients, but at least one tensor;
-# a search scores at most this many table entries, but one proposal, per pass.
+# a search scores at most this many table entries, but one cell, per pass.
 _BH_BLOCK_COEFFS = 1 << 12
 
 # The seeding hashes each trial index as one uint32 word.
@@ -464,9 +464,9 @@ def search_extremal(
     Every entry stays +-1, so ``bh_lhs`` is the same for every tensor of the
     search and a lower norm, an integer of at most N^m <= 2^20, is exactly a
     higher ratio.  While S and P together hold at most MAX_TENSOR_ENTRIES
-    entries, ``_walk_by_table`` scores proposals a block at a time from its
-    pattern table, and past that ``_walk_by_kernel`` one by one; both keep
-    the flips of scoring one by one, so the walk changes with neither cap.
+    entries, ``_walk_by_table`` scores each cell at most once per state from
+    its pattern table, and past that ``_walk_by_kernel`` scores each proposal;
+    both keep the flips of scoring one by one, so the walk changes with neither cap.
 
     The shape passes ``check_budget`` before any draw.  The first restart
     to reach the smallest norm wins, and ``bh_ratio`` certifies it.
@@ -510,12 +510,12 @@ def _walk_by_table(
     R[k], R = sum_c |P[c]| over the rows of the pattern table P = M.T @ S.
     Flipping the entry ``old`` at row r, column c of M moves only P[c], by
     -2 * old * S[r], so a flip scores max(R - |P[c]| + |P[c] - 2 * old * S[r]|)
-    with no new enumeration, exact on a +-1 tensor.  Proposals are scored a
-    block at a time, at most _BH_BLOCK_COEFFS table entries (but at least
-    one proposal) per block, with the elementwise operations of scoring
-    them one by one.  The first candidate below the norm is kept, and
-    scoring resumes at the proposal after it: nothing changes before that
-    flip, so every score and kept flip is the one-by-one walk's, bit for bit.
+    with no new enumeration, exact on a +-1 tensor.  A cell is scored at most
+    once per state: when a proposal's cell has no score, one pass scores the
+    block of cells that holds it, at most _BH_BLOCK_COEFFS table entries (but
+    at least one cell).  The first proposal that scores below the norm is
+    kept and clears every score, so every score and kept flip is the
+    one-by-one walk's, bit for bit.
     """
     m, n = signs.ndim, signs.shape[0]
     rows = signs.reshape(-1, n)
@@ -524,26 +524,38 @@ def _walk_by_table(
     totals = mags.sum(axis=0)
     norm = float(np.maximum.reduce(totals))
     chunk = max(1, _BH_BLOCK_COEFFS // products.shape[1])
+    scores = np.full(rows.size, -np.inf)  # -inf: no score in this state, below every norm
     for block_rows, block_cols in _proposal_cells(rng, n, m, iterations):
+        flat = block_rows * n + block_cols
         start = 0
-        while start < len(block_rows):
-            r, c = block_rows[start:start + chunk], block_cols[start:start + chunk]
-            old = rows[r, c]
-            columns = sums[c] - (2.0 * old)[:, None] * products[r]
-            mag = np.abs(columns)
-            candidates = np.maximum.reduce(totals - mags[c] + mag, axis=1)
-            better = candidates < norm
-            k = int(better.argmax())
-            if not better[k]:
-                start += chunk
+        while start < len(flat):
+            start += int((scores[flat[start:]] < norm).argmax())
+            cell = int(flat[start])
+            if scores[cell] >= norm:  # no proposal left in the block scores below it
+                break
+            if scores[cell] == -np.inf:
+                cells = np.arange(cell - cell % chunk, rows.size)[:chunk]
+                scores[cells] = _score_cells(rows, products, sums, mags, totals, cells)
                 continue
-            norm = float(candidates[k])
-            rows[r[k], c[k]] = -old[k]
-            sums[c[k]] = columns[k]
-            totals += mag[k] - mags[c[k]]
-            mags[c[k]] = mag[k]
-            start += k + 1
+            r, c = divmod(cell, n)
+            rows[r, c] = -rows[r, c]
+            sums[c] += 2.0 * rows[r, c] * products[r]
+            totals += np.abs(sums[c]) - mags[c]
+            np.abs(sums[c], out=mags[c])
+            norm = float(scores[cell])
+            scores.fill(-np.inf)
+            start += 1
     return norm
+
+
+def _score_cells(
+    rows: np.ndarray, products: np.ndarray, sums: np.ndarray, mags: np.ndarray,
+    totals: np.ndarray, cells: np.ndarray,
+) -> np.ndarray:
+    """The norm after flipping each of ``cells``, flat indices of ``rows``, alone."""
+    r, c = np.divmod(cells, rows.shape[1])
+    columns = sums[c] - (2.0 * rows[r, c])[:, None] * products[r]
+    return np.maximum.reduce(totals - mags[c] + np.abs(columns), axis=1)
 
 
 def _walk_by_kernel(signs: np.ndarray, rng: np.random.Generator, iterations: int) -> float:

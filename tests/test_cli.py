@@ -633,6 +633,15 @@ class TestPinnedBytes:
             {"bench.json": "3f416b63bb118be2c12ee551bab64143978c0d6c7b102842cbd31d628aa96a7d"},
             id="search-benchmark-shape",
         ),
+        # A long table walk: five draw blocks per restart, and 79,761 of the
+        # 80,000 proposals fall at a single-flip local optimum.
+        pytest.param(
+            ("search", "--m", "3", "--n", "4", "--restarts", "4", "--iterations", "20000",
+             "--seed", "11", "--out", "long.json"),
+            "ratio=0.9999999999999999 bound=1.7817974362806785 m=3 n=4 restarts=4 iterations=80000 seed=11\n",
+            {"long.json": "4e15101fe5191115b0ad647f7d9d19f0f9e2d26ebf4ce25148a6f8c1051c7b42"},
+            id="search-long-walk",
+        ),
         # (5, 4) is past the pattern-table cap: every proposal is scored by the kernel.
         pytest.param(
             ("search", "--m", "5", "--n", "4", "--restarts", "2", "--iterations", "40",

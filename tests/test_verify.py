@@ -529,9 +529,25 @@ def _kept_by_reference(m, n, iterations, seed):
     return [i for i in range(iterations) if ratios[i + 1] > ratios[i]]
 
 
+def _record_passes(monkeypatch):
+    """Record each scoring pass of the table walk as (the tensor's rows, the
+    cells it scored, the table entries it held)."""
+    passes = []
+    score_cells = verify._score_cells
+
+    def recorded(rows, products, sums, mags, totals, cells):
+        passes.append((rows.tobytes(), cells.tolist(), cells.size * products.shape[1]))
+        return score_cells(rows, products, sums, mags, totals, cells)
+
+    monkeypatch.setattr(verify, "_score_cells", recorded)
+    return passes
+
+
 class TestBlockScoring:
-    """The table walk scores proposals a block at a time: the first improving
-    proposal of a block is kept, and scoring resumes at the one after it."""
+    """The table walk scores each cell at most once per state: when a
+    proposal's cell has no score, one pass scores the block of cells that
+    holds it; the first proposal that scores below the norm is kept, and a
+    kept flip clears every score."""
 
     @pytest.mark.parametrize("m,n,restarts,iterations,seed", SEARCH_CASES + [(3, 2, 1, 4100, 8)])
     @pytest.mark.parametrize("per_block", ["proposal", "draw_block"])
@@ -552,6 +568,29 @@ class TestBlockScoring:
         assert max(1, verify._BH_BLOCK_COEFFS // 2**6) == 64
         assert _kept_by_reference(3, 4, 30, 2) == [0, 2, 3, 4, 10]
         _assert_same_as_reference(3, 4, 1, 30, 2)
+
+    @pytest.mark.parametrize("m,n,restarts,iterations,seed,most_passes", [
+        # 64 cells of 64 patterns: one pass of 4,096 entries scores a state.
+        (3, 4, 3, 400, 2, 1),
+        # 81 cells of 64 patterns: blocks of 64 and 17 cells, two passes a state.
+        (4, 3, 3, 400, 4, 2),
+    ])
+    def test_each_cell_scored_once_per_state(
+        self, monkeypatch, m, n, restarts, iterations, seed, most_passes
+    ):
+        passes = _record_passes(monkeypatch)
+        _assert_same_as_reference(m, n, restarts, iterations, seed)
+        patterns = 2 ** ((m - 1) * (n - 1))
+        assert all(entries <= max(patterns, verify._BH_BLOCK_COEFFS) for *_, entries in passes)
+        # A kept flip changes the rows, so consecutive passes on the same rows
+        # belong to one state; a walk never returns to a state, as its norm falls.
+        states = [[cells for _, cells, _ in group]
+                  for _, group in itertools.groupby(passes, key=lambda p: p[0])]
+        for state in states:
+            cells = [cell for block in state for cell in block]
+            assert len(cells) == len(set(cells))
+        assert max(len(state) for state in states) == most_passes
+        assert len(states) > restarts
 
 
 class TestProposalCells:
