@@ -463,10 +463,10 @@ def search_extremal(
     random entry and is kept only if it strictly lowers the exact norm.
     Every entry stays +-1, so ``bh_lhs`` is the same for every tensor of the
     search and a lower norm, an integer of at most N^m <= 2^20, is exactly a
-    higher ratio.  While S and P together hold at most MAX_TENSOR_ENTRIES
-    entries, ``_walk_by_table`` scores each cell at most once per state from
-    its pattern table, and past that ``_walk_by_kernel`` scores each proposal;
-    both keep the flips of scoring one by one, so the walk changes with neither cap.
+    higher ratio.  ``_walk`` scores each cell at most once per state, from
+    the pattern table while S and P together hold at most MAX_TENSOR_ENTRIES
+    entries and past that by one kernel call; either way it keeps the flips
+    of scoring one by one, so the walk changes with neither cap.
 
     The shape passes ``check_budget`` before any draw.  The first restart
     to reach the smallest norm wins, and ``bh_ratio`` certifies it.
@@ -475,14 +475,14 @@ def search_extremal(
     check_budget(m, N)
     if not 1 <= restarts <= _MAX_TRIALS or iterations < 0:
         raise ValueError("restarts must be in [1, 2^32] and iterations >= 0")
-    walk = _walk_by_kernel
+    products = None
     # S has N^(m-1) rows and P has N, each one entry per enumerated pattern.
     if (N ** (m - 1) + N) << ((m - 1) * (N - 1)) <= MAX_TENSOR_ENTRIES:
-        walk = functools.partial(_walk_by_table, products=_sign_products(m, N))
+        products = _sign_products(m, N)
     best_signs, best_norm = None, np.inf
     for rng in _trial_rngs(seed, restarts):
         signs = _draw_tensor(rng, m, N, sign_entries=True)
-        norm = walk(signs, rng, iterations)
+        norm = _walk(signs, rng, iterations, products)
         if norm < best_norm:
             # Each restart draws a new array, so this one is never flipped again.
             best_signs, best_norm = signs, norm
@@ -501,32 +501,35 @@ def _sign_products(m: int, n: int) -> np.ndarray:
     return functools.reduce(np.kron, [signs] * (m - 1), np.ones((1, 1)))
 
 
-def _walk_by_table(
-    signs: np.ndarray, rng: np.random.Generator, iterations: int, products: np.ndarray
+def _walk(
+    signs: np.ndarray, rng: np.random.Generator, iterations: int,
+    products: Optional[np.ndarray],
 ) -> float:
-    """Walk ``signs`` in place, scoring proposals from the pattern table; returns its norm.
+    """Walk ``signs`` in place, scoring each cell at most once per state; returns its norm.
 
-    With M = signs.reshape(-1, n) and S = ``products``, the norm is max_k
-    R[k], R = sum_c |P[c]| over the rows of the pattern table P = M.T @ S.
-    Flipping the entry ``old`` at row r, column c of M moves only P[c], by
-    -2 * old * S[r], so a flip scores max(R - |P[c]| + |P[c] - 2 * old * S[r]|)
-    with no new enumeration, exact on a +-1 tensor.  A cell is scored at most
-    once per state: when a proposal's cell has no score, one pass scores the
-    block of cells that holds it, at most _BH_BLOCK_COEFFS table entries (but
-    at least one cell).  The first proposal that scores below the norm is
-    kept and clears every score, so every score and kept flip is the
-    one-by-one walk's, bit for bit.
+    A cell's score is the norm with that entry of M = signs.reshape(-1, n)
+    flipped.  When a proposal's cell has no score in the current state, one
+    exact-norm kernel call scores it; or, with ``products`` S, one pass of
+    ``_score_cells`` scores the block of cells that holds it, at most
+    _BH_BLOCK_COEFFS table entries (but at least one cell).  There the norm
+    is max_k R[k], R = sum_c |P[c]| over the rows of the pattern table
+    P = M.T @ S, and flipping the entry ``old`` at row r, column c of M moves
+    only P[c], by -2 * old * S[r]: no new enumeration, exact on a +-1 tensor.
+    The first proposal that scores below the norm is kept and clears every
+    score, so every score and kept flip is the one-by-one walk's, bit for bit.
     """
-    m, n = signs.ndim, signs.shape[0]
+    n = signs.shape[0]
     rows = signs.reshape(-1, n)
-    sums = rows.T @ products
-    mags = np.abs(sums)
-    totals = mags.sum(axis=0)
-    norm = float(np.maximum.reduce(totals))
-    chunk = max(1, _BH_BLOCK_COEFFS // products.shape[1])
+    if products is None:
+        norm = sup_norm_exact(MultilinearForm(signs))
+    else:
+        sums = rows.T @ products
+        mags = np.abs(sums)
+        totals = mags.sum(axis=0)
+        norm = float(np.maximum.reduce(totals))
+        chunk = max(1, _BH_BLOCK_COEFFS // products.shape[1])
     scores = np.full(rows.size, -np.inf)  # -inf: no score in this state, below every norm
-    for block_rows, block_cols in _proposal_cells(rng, n, m, iterations):
-        flat = block_rows * n + block_cols
+    for flat in _proposal_cells(rng, n, signs.ndim, iterations):
         start = 0
         while start < len(flat):
             start += int((scores[flat[start:]] < norm).argmax())
@@ -534,14 +537,20 @@ def _walk_by_table(
             if scores[cell] >= norm:  # no proposal left in the block scores below it
                 break
             if scores[cell] == -np.inf:
-                cells = np.arange(cell - cell % chunk, rows.size)[:chunk]
-                scores[cells] = _score_cells(rows, products, sums, mags, totals, cells)
+                if products is None:
+                    rows.flat[cell] = -rows.flat[cell]
+                    scores[cell] = _exact_norm(signs)
+                    rows.flat[cell] = -rows.flat[cell]
+                else:
+                    cells = np.arange(cell - cell % chunk, rows.size)[:chunk]
+                    scores[cells] = _score_cells(rows, products, sums, mags, totals, cells)
                 continue
             r, c = divmod(cell, n)
             rows[r, c] = -rows[r, c]
-            sums[c] += 2.0 * rows[r, c] * products[r]
-            totals += np.abs(sums[c]) - mags[c]
-            np.abs(sums[c], out=mags[c])
+            if products is not None:
+                sums[c] += 2.0 * rows[r, c] * products[r]
+                totals += np.abs(sums[c]) - mags[c]
+                np.abs(sums[c], out=mags[c])
             norm = float(scores[cell])
             scores.fill(-np.inf)
             start += 1
@@ -558,26 +567,11 @@ def _score_cells(
     return np.maximum.reduce(totals - mags[c] + np.abs(columns), axis=1)
 
 
-def _walk_by_kernel(signs: np.ndarray, rng: np.random.Generator, iterations: int) -> float:
-    """Walk ``signs`` in place, scoring each proposal through the kernel; returns its norm."""
-    norm = sup_norm_exact(MultilinearForm(signs))
-    rows = signs.reshape(-1, signs.shape[0])
-    for block_rows, block_cols in _proposal_cells(rng, rows.shape[1], signs.ndim, iterations):
-        for r, c in zip(block_rows.tolist(), block_cols.tolist()):
-            rows[r, c] = -rows[r, c]
-            candidate = _exact_norm(signs)
-            if candidate < norm:
-                norm = candidate
-            else:
-                rows[r, c] = -rows[r, c]
-    return norm
-
-
 def _proposal_cells(
     rng: np.random.Generator, n: int, m: int, iterations: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the proposals' rows and columns of ``tensor.reshape(-1, n)``,
-    one pair of arrays per draw block.
+) -> Iterator[np.ndarray]:
+    """Yield the proposals' flat cell indices of ``tensor.reshape(-1, n)``,
+    one array per draw block.
 
     Drawn _SEED_BLOCK proposals per call, in the stream of one
     ``integers(0, n, size=m)`` per proposal: numpy keeps a word's unused
@@ -585,8 +579,7 @@ def _proposal_cells(
     """
     place = n ** np.arange(m - 1, -1, -1)
     for first in range(0, iterations, _SEED_BLOCK):
-        flat = rng.integers(0, n, size=(min(_SEED_BLOCK, iterations - first), m)) @ place
-        yield flat // n, flat % n
+        yield rng.integers(0, n, size=(min(_SEED_BLOCK, iterations - first), m)) @ place
 
 
 def run_khinchine_suite(count: int = 100, seed: int = 0) -> VerificationReport:

@@ -642,13 +642,22 @@ class TestPinnedBytes:
             {"long.json": "4e15101fe5191115b0ad647f7d9d19f0f9e2d26ebf4ce25148a6f8c1051c7b42"},
             id="search-long-walk",
         ),
-        # (5, 4) is past the pattern-table cap: every proposal is scored by the kernel.
+        # (5, 4) is past the pattern-table cap: each cell is scored by the kernel.
         pytest.param(
             ("search", "--m", "5", "--n", "4", "--restarts", "2", "--iterations", "40",
              "--seed", "1", "--out", "cap.json"),
             "ratio=0.5423728813559321 bound=2.2973967099940698 m=5 n=4 restarts=2 iterations=80 seed=1\n",
             {"cap.json": "2a871947a5f07980ce75c9f1da72e65f40c2aeae3607430b4d4f28ec0dfe6ae4"},
             id="search-kernel-walk",
+        ),
+        # A long walk past the cap: its 4,000 proposals take 2,727 kernel calls,
+        # one per (state, cell) proposed.
+        pytest.param(
+            ("search", "--m", "5", "--n", "4", "--restarts", "2", "--iterations", "2000",
+             "--seed", "1", "--out", "cap_long.json"),
+            "ratio=0.5714285714285714 bound=2.2973967099940698 m=5 n=4 restarts=2 iterations=4000 seed=1\n",
+            {"cap_long.json": "065c32db9e4d0ec85bf05c79e98323b93a7f63d6e73a82d87ba010e7b3c0c267"},
+            id="search-long-kernel-walk",
         ),
         # Every value up to m = 60 is below 10^9, so a last-bit difference in
         # the host's libm cannot reach the third decimal printed here.

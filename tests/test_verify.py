@@ -442,15 +442,45 @@ def _assert_same_as_reference(m, n, restarts, iterations, seed):
 
 
 def _count_walk_kernel_calls(monkeypatch):
-    """Record each exact-norm kernel call the walk makes itself."""
+    """Record the input of each exact-norm kernel call the walk makes itself."""
     calls = []
 
     def counted(coeffs):
-        calls.append(coeffs.shape)
+        calls.append(coeffs.tobytes())
         return forms._exact_norm(coeffs)
 
     monkeypatch.setattr(verify, "_exact_norm", counted)
     return calls
+
+
+def _proposals_by_state(m, N, restarts, iterations, seed):
+    """The reference walk's proposals, one list per state of each restart:
+    the bytes of each flipped tensor proposed in that state, in order, the
+    kept one last."""
+    states = []
+    for i in range(restarts):
+        rng = np.random.default_rng((seed, i))
+        signs = rng.integers(0, 2, size=(N,) * m) * 2.0 - 1.0
+        form = MultilinearForm(signs)
+        ratio = bh_lhs(form) / sup_norm_exact(form)
+        states.append([])
+        for _ in range(iterations):
+            idx = tuple(rng.integers(0, N, size=m))
+            flipped = signs.copy()
+            flipped[idx] = -flipped[idx]
+            states[-1].append(flipped.tobytes())
+            candidate = MultilinearForm(flipped)
+            candidate_ratio = bh_lhs(candidate) / sup_norm_exact(candidate)
+            if candidate_ratio > ratio:
+                signs, ratio = flipped, candidate_ratio
+                states.append([])
+    return states
+
+
+def _kernel_calls_by_reference(m, N, restarts, iterations, seed):
+    """The kernel calls of a walk past the table cap: the distinct cells
+    proposed in each state of the reference walk, the kept one included."""
+    return sum(len(set(state)) for state in _proposals_by_state(m, N, restarts, iterations, seed))
 
 
 SEARCH_CASES = [
@@ -481,12 +511,13 @@ class TestSearchAgainstReference:
         monkeypatch.setattr(verify, "MAX_TENSOR_ENTRIES", 0)
         calls = _count_walk_kernel_calls(monkeypatch)
         _assert_same_as_reference(m, n, restarts, iterations, seed)
-        assert len(calls) == restarts * iterations
+        assert len(calls) == _kernel_calls_by_reference(m, n, restarts, iterations, seed)
 
     @pytest.mark.parametrize("n,kernel_calls", [(16, 0), (17, 8)])
     def test_real_table_cap(self, monkeypatch, n, kernel_calls):
         # At (2, 16) S and P hold 16 * 2^15 + 16 * 2^15 = 2^20 entries, exactly
-        # MAX_TENSOR_ENTRIES; (2, 17) needs 34 * 2^16 and takes the kernel path.
+        # MAX_TENSOR_ENTRIES; (2, 17) needs 34 * 2^16, so its walk scores through
+        # the kernel, once per proposal here: no state proposes a cell twice.
         calls = _count_walk_kernel_calls(monkeypatch)
         _assert_same_as_reference(2, n, 2, 4, 9)
         assert len(calls) == kernel_calls
@@ -501,7 +532,7 @@ class TestSearchAgainstReference:
         monkeypatch.setattr(verify, "MAX_TENSOR_ENTRIES", 0)
         calls = _count_walk_kernel_calls(monkeypatch)
         _assert_same_as_reference(3, 2, 1, 4100, 8)
-        assert len(calls) == 4100
+        assert len(calls) == _kernel_calls_by_reference(3, 2, 1, 4100, 8)
 
     @pytest.mark.parametrize("table_cap", [verify.MAX_TENSOR_ENTRIES, 0], ids=["table", "kernel"])
     def test_same_walk_with_small_draw_blocks(self, monkeypatch, table_cap):
@@ -554,8 +585,8 @@ class TestBlockScoring:
     def test_same_walk_at_any_block_cap(
         self, monkeypatch, per_block, m, n, restarts, iterations, seed
     ):
-        # A cap of one entry scores one proposal per block; a cap of a draw block
-        # of the largest table scores each draw block in one pass until it improves.
+        # A cap of one entry scores one cell per pass; a cap of a draw block of
+        # the largest table scores every cell of a state in one pass.
         cap = 1 if per_block == "proposal" else verify._SEED_BLOCK * verify.MAX_TENSOR_ENTRIES
         monkeypatch.setattr(verify, "_BH_BLOCK_COEFFS", cap)
         calls = _count_walk_kernel_calls(monkeypatch)
@@ -563,8 +594,8 @@ class TestBlockScoring:
         assert calls == []
 
     def test_improvements_in_one_block(self):
-        # (3, 4) has 2^6 patterns, so a block holds 64 proposals, and the walk
-        # keeps five proposals of its first block, scoring again after each.
+        # (3, 4) has 2^6 patterns, so a pass scores all 64 cells, and the walk
+        # keeps five proposals of its first draw block, in five states.
         assert max(1, verify._BH_BLOCK_COEFFS // 2**6) == 64
         assert _kept_by_reference(3, 4, 30, 2) == [0, 2, 3, 4, 10]
         _assert_same_as_reference(3, 4, 1, 30, 2)
@@ -592,6 +623,23 @@ class TestBlockScoring:
         assert max(len(state) for state in states) == most_passes
         assert len(states) > restarts
 
+    @pytest.mark.parametrize("m,n,restarts,iterations,seed", [
+        (3, 3, 3, 400, 2),
+        (5, 3, 2, 400, 5),
+    ])
+    def test_each_flipped_tensor_scored_once_per_state_past_the_table_cap(
+        self, monkeypatch, m, n, restarts, iterations, seed
+    ):
+        monkeypatch.setattr(verify, "MAX_TENSOR_ENTRIES", 0)
+        states = _proposals_by_state(m, n, restarts, iterations, seed)
+        scored = _count_walk_kernel_calls(monkeypatch)
+        _assert_same_as_reference(m, n, restarts, iterations, seed)
+        # The kernel scores each state's first proposal of each flipped tensor,
+        # in the reference walk's order, and no other.
+        assert scored == [flipped for state in states for flipped in dict.fromkeys(state)]
+        # The case is only a check if some state proposes a flipped tensor again.
+        assert len(scored) < restarts * iterations
+
 
 class TestProposalCells:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -606,13 +654,12 @@ class TestProposalCells:
                 rng.integers(0, 2, size=(n,) * m)
             assert per_call.bit_generator.state["has_uint32"] == n % 2
             expected = np.array(
-                [divmod(int(per_call.integers(0, n, size=m) @ place), n)
-                 for _ in range(iterations)], dtype=int,
-            ).reshape(-1, 2)
+                [int(per_call.integers(0, n, size=m) @ place) for _ in range(iterations)],
+                dtype=int,
+            )
             blocks = list(verify._proposal_cells(blocked, n, m, iterations))
-            for k in range(2):
-                cells = np.concatenate([block[k] for block in blocks] + [np.empty(0, int)])
-                assert np.array_equal(cells, expected[:, k])
+            cells = np.concatenate(blocks + [np.empty(0, int)])
+            assert np.array_equal(cells, expected)
             assert blocked.bit_generator.state == per_call.bit_generator.state
 
     def test_draws_are_bounded_by_the_block(self):
@@ -627,8 +674,7 @@ class TestProposalCells:
                 return self.rng.integers(low, high, size=size)
 
         blocks = list(verify._proposal_cells(Recording(np.random.default_rng(0)), 3, 2, 10_000))
-        assert [(len(rows), len(cols)) for rows, cols in blocks] == [(4096, 4096), (4096, 4096),
-                                                                     (1808, 1808)]
+        assert [len(cells) for cells in blocks] == [4096, 4096, 1808]
         assert sizes == [(4096, 2), (4096, 2), (1808, 2)]
 
 
